@@ -5,8 +5,7 @@ Subcommands: preprocess (recording -> window archive), quantize (checkpoint
 (streaming cycle simulation), losses (objective evaluation on tensor files).
 
 Exit codes: 0 success, 2 input format error, 3 configuration/shape error,
-4 planning error. All randomness flows from --seed; FEMBA_THREADS overrides
-the worker count.
+4 planning error. FEMBA_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -244,7 +243,6 @@ def cmd_losses(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="femba")
-    p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("preprocess", help="recording -> normalized window archive")

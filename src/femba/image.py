@@ -200,8 +200,7 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     c = ct.Container()
     c.add("config", ct.DT_I32, _config_vec(cfg, art.mode))
     c.add("config_f", ct.DT_F32, np.array([cfg.dt_min, cfg.dt_max], dtype=np.float32))
-    taps = fm.quant_points(cfg)
-    c.add("act_exponents", ct.DT_I8, np.array([exp[t] for t in taps], dtype=np.int8))
+    c.add("act_exponents", ct.DT_I8, np.array(list(exp.values()), dtype=np.int8))
 
     for layer in qz.layer_catalog(cfg):
         name = layer["name"]
@@ -257,8 +256,19 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
 def _read_weight(c: ct.Container, name: str):
     e = c.get(name + ".q")
     if e.dtype == ct.DT_T2:
-        return "t2", None, e.data.astype(np.uint32), tuple(e.dims)
+        words = e.data.astype(np.uint32)
+        _check_ternary(name + ".q", words, int(np.prod(e.dims)))
+        return "t2", None, words, tuple(e.dims)
     return "i8", c.array(name + ".q").astype(np.int8), None, tuple(e.dims)
+
+
+def _check_ternary(name: str, words: np.ndarray, count: int):
+    """The 2-bit field 3 encodes no weight; the integer paths would read it
+    differently, so no image may carry one among its first ``count`` fields."""
+    both = words & (words >> np.uint32(1)) & np.uint32(0x55555555)  # low bit of each 3
+    full, rem = divmod(count, 16)
+    if np.any(both[:full]) or (rem and int(both[full]) & ((1 << 2 * rem) - 1)):
+        raise ct.FormatError(f"entry {name!r}: invalid 2-bit field value 3")
 
 
 def _read_mk(c: ct.Container, name: str):
@@ -289,6 +299,9 @@ def load_image(source) -> EngineImage:
         raise eng.EngineConfigError("container is a float checkpoint, not a deployment image")
     taps = fm.quant_points(cfg)
     exps = c.array("act_exponents").astype(int)
+    if exps.size != len(taps):
+        raise ct.FormatError(
+            f"act_exponents holds {exps.size} exponents, the config has {len(taps)} taps")
     img = EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps)))
 
     for layer in qz.layer_catalog(cfg):

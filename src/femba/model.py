@@ -6,11 +6,14 @@ scan branch around a residual connection), mean pooling over tokens, and a
 linear classification head.
 
 This float path is the ground truth the quantized and integer paths are
-checked against. Everything runs in float64 and is deterministic.
+checked against. Everything runs in float64 and is deterministic. The graph
+is written out once, in `Walk`; the fake-quantized forward and a deployment
+image's float view walk it with their own op sets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -120,7 +123,21 @@ def _init_branch(cfg: ModelConfig, rng: np.random.Generator) -> BranchParams:
 
 def init_weights(cfg: ModelConfig, seed: int = 0) -> FembaWeights:
     """Random initialization with standard fan-in scaling; for tests and demos."""
-    rng = np.random.default_rng(seed)
+    return _make_weights(cfg, np.random.default_rng(seed))
+
+
+class _ZeroDraws:
+    """Stands in for the random generator of `_make_weights`: every draw is
+    zeros (uniform draws take their lower bound)."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.full(size, float(low))
+
+
+def _make_weights(cfg: ModelConfig, rng) -> FembaWeights:
     gd = cfg.n_groups * cfg.d_model
     blocks = []
     for _ in range(cfg.n_blocks):
@@ -141,19 +158,12 @@ def init_weights(cfg: ModelConfig, seed: int = 0) -> FembaWeights:
 
 
 def zero_weights(cfg: ModelConfig) -> FembaWeights:
-    w = init_weights(cfg, seed=0)
-    w.tok_kernel = np.zeros_like(w.tok_kernel)
-    w.tok_bias = np.zeros_like(w.tok_bias)
-    w.pos_embed = np.zeros_like(w.pos_embed)
-    for b in w.blocks:
-        for br in (b.fwd, b.bwd):
-            for name in ("in_proj", "conv_w", "conv_b", "x_proj", "dt_proj",
-                         "dt_bias", "d_skip", "out_proj"):
-                setattr(br, name, np.zeros_like(getattr(br, name)))
-        if b.fuse_proj is not None:
-            b.fuse_proj = np.zeros_like(b.fuse_proj)
-    w.head_w = np.zeros_like(w.head_w)
-    w.head_b = np.zeros_like(w.head_b)
+    """All weights zero except the state matrices' a_log."""
+    w = _make_weights(cfg, _ZeroDraws())
+    for blk in w.blocks:
+        for br in (blk.fwd, blk.bwd):
+            br.dt_bias = np.zeros_like(br.dt_bias)
+            br.d_skip = np.zeros_like(br.d_skip)
     return w
 
 
@@ -164,23 +174,6 @@ def patch_matrix(window: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     # (channels, n_patches, patch) -> (n_patches, channels, patch)
     patches = window.reshape(c, s // p, p).transpose(1, 0, 2)
     return patches.reshape(s // p, c * p)
-
-
-def tokenize(window: np.ndarray, weights: FembaWeights, cfg: ModelConfig) -> np.ndarray:
-    """Tokenizer: strided 2D conv over (channels x patch) blocks + positional embedding.
-
-    Each of the n_patches positions yields n_groups feature groups of width
-    d_model; tokens are ordered position-major (token p*G+g).
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (cfg.n_channels, cfg.n_samples):
-        raise ValueError(
-            f"window shape {window.shape} != ({cfg.n_channels}, {cfg.n_samples})")
-    gd = cfg.n_groups * cfg.d_model
-    kmat = weights.tok_kernel.reshape(gd, cfg.n_channels * cfg.patch_size)
-    feats = patch_matrix(window, cfg) @ kmat.T + weights.tok_bias  # (n_patches, G*dm)
-    tokens = feats.reshape(cfg.n_patches * cfg.n_groups, cfg.d_model)
-    return tokens + weights.pos_embed
 
 
 def selective_scan(u, delta, a, b, c, d=None):
@@ -216,43 +209,6 @@ def selective_scan(u, delta, a, b, c, d=None):
     return y
 
 
-def _branch_core(seq: np.ndarray, p: BranchParams, cfg: ModelConfig,
-                 trace: dict | None = None, prefix: str = "") -> np.ndarray:
-    xz = seq @ p.in_proj.T
-    x, gate = xz[:, :cfg.d_inner], xz[:, cfg.d_inner:]
-    if trace is not None:
-        trace[prefix + "x"] = x
-        trace[prefix + "gate"] = gate
-
-    x = causal_depthwise_conv(x, p.conv_w, p.conv_b)
-    if trace is not None:
-        trace[prefix + "conv"] = x
-    u = silu(x)
-    if trace is not None:
-        trace[prefix + "u"] = u
-
-    dbl = u @ p.x_proj.T
-    dr, ds = cfg.dt_rank, cfg.d_state
-    dt_raw, b, c = dbl[:, :dr], dbl[:, dr:dr + ds], dbl[:, dr + ds:]
-    dt_pre = dt_raw @ p.dt_proj.T + p.dt_bias
-    if trace is not None:
-        trace[prefix + "dt_raw"] = dt_raw
-        trace[prefix + "b"] = b
-        trace[prefix + "c"] = c
-        trace[prefix + "dt_pre"] = dt_pre
-
-    delta = np.clip(softplus(dt_pre), cfg.dt_min, cfg.dt_max)
-    a = -np.exp(p.a_log)
-    y = selective_scan(u, delta, a, b, c, p.d_skip)
-    if trace is not None:
-        trace[prefix + "y"] = y
-    gated = y * silu(gate)
-    if trace is not None:
-        trace[prefix + "gated"] = gated
-    out = gated @ p.out_proj.T
-    return out
-
-
 def causal_depthwise_conv(x: np.ndarray, conv_w: np.ndarray, conv_b: np.ndarray) -> np.ndarray:
     """Per-channel causal FIR along the token axis; conv_w[:, -1] taps the
     current step, earlier taps reach back in time."""
@@ -263,20 +219,6 @@ def causal_depthwise_conv(x: np.ndarray, conv_w: np.ndarray, conv_b: np.ndarray)
     for j in range(k):
         out += padded[j:j + t_len] * conv_w[:, j]
     return out + conv_b
-
-
-def mamba_branch(tokens: np.ndarray, p: BranchParams, direction: str, cfg: ModelConfig,
-                 trace: dict | None = None, prefix: str = "") -> np.ndarray:
-    """One scan branch. The backward branch reverses the token sequence before
-    and after the shared forward machinery."""
-    if direction not in ("fwd", "bwd"):
-        raise ValueError("direction must be 'fwd' or 'bwd'")
-    seq = tokens if direction == "fwd" else tokens[::-1]
-    out = _branch_core(seq, p, cfg, trace=trace, prefix=prefix)
-    branch = out if direction == "fwd" else out[::-1]
-    if trace is not None:
-        trace[prefix + "branch"] = branch
-    return branch
 
 
 def fuse_branches(f: np.ndarray, b: np.ndarray, cfg: ModelConfig,
@@ -290,45 +232,168 @@ def fuse_branches(f: np.ndarray, b: np.ndarray, cfg: ModelConfig,
     return np.concatenate([f, b], axis=1) @ fuse_proj.T
 
 
-def bi_mamba_block(tokens: np.ndarray, block: BlockParams, cfg: ModelConfig,
-                   trace: dict | None = None, prefix: str = "") -> np.ndarray:
-    f = mamba_branch(tokens, block.fwd, "fwd", cfg, trace=trace, prefix=prefix + "fwd.")
-    b = mamba_branch(tokens, block.bwd, "bwd", cfg, trace=trace, prefix=prefix + "bwd.")
-    fused = fuse_branches(f, b, cfg, block.fuse_proj)
-    if trace is not None:
-        trace[prefix + "fused"] = fused
-    out = tokens + fused
-    if trace is not None:
-        trace[prefix + "out"] = out
-    return out
+# ---------------------------------------------------------------------------
+# the graph walker
+
+# branch layer -> (weight field, bias field) of BranchParams
+_BRANCH_LAYERS = {"in_proj": ("in_proj", None), "conv": ("conv_w", "conv_b"),
+                  "x_proj": ("x_proj", None), "dt_proj": ("dt_proj", "dt_bias"),
+                  "out_proj": ("out_proj", None)}
+
+
+class FloatOps:
+    """Op set of the float model: its own weights and no quantization.
+
+    A `Walk` asks every op set the same five things:
+
+    - ``weight(name)`` -> ``(w, b)``: the matrix (for a ``conv`` layer the
+      per-channel kernel) and the bias of a layer; ``b`` is None if it has none;
+    - ``pos``: the positional tensor, (n_tokens, d_model);
+    - ``scan(i, d)`` -> ``(a, d_skip)``: the scan parameters of block ``i``,
+      direction ``d``;
+    - ``fuse(i, f, b)``: block ``i``'s fusion of its two branch outputs;
+    - ``qdq(x, tap)``: quantize-dequantize at a tap; the identity here.
+    """
+
+    def __init__(self, weights: FembaWeights, cfg: ModelConfig):
+        self.weights, self.cfg = weights, cfg
+        self.pos = weights.pos_embed
+
+    def weight(self, name: str):
+        w = self.weights
+        if name == "tokenizer":
+            return w.tok_kernel.reshape(w.tok_kernel.shape[0], -1), w.tok_bias
+        if name == "head":
+            return w.head_w, w.head_b
+        _, i, d, layer = name.split(".")
+        branch = getattr(w.blocks[int(i)], d)
+        w_field, b_field = _BRANCH_LAYERS[layer]
+        return getattr(branch, w_field), None if b_field is None else getattr(branch, b_field)
+
+    def scan(self, i: int, d: str):
+        branch = getattr(self.weights.blocks[i], d)
+        return -np.exp(branch.a_log), branch.d_skip
+
+    def fuse(self, i: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return fuse_branches(f, b, self.cfg, self.weights.blocks[i].fuse_proj)
+
+    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
+        return x
+
+
+class Walk:
+    """The network graph in float arithmetic, the one place it is written out.
+
+    The float model, the fake-quantized model and a deployment image's float
+    view differ only in their op set (see FloatOps). With a ``trace`` dict the
+    walk records every tap, every layer output as ``linear:<name>`` and
+    ``logits``. Every walk also notes its taps in order and, per layer, the
+    tap it reads and the taps its output columns feed; `graph` reads the tap
+    and layer lists off that record.
+    """
+
+    def __init__(self, ops, cfg: ModelConfig, trace: dict | None = None):
+        self.ops, self.cfg, self.trace = ops, cfg, trace
+        self.taps: list[str] = []
+        self.layers: dict[str, dict] = {}
+
+    def _record(self, key: str, x: np.ndarray):
+        if self.trace is not None:
+            self.trace[key] = x
+
+    def tap(self, x: np.ndarray, name: str, of: str | None = None) -> np.ndarray:
+        """Quantization point ``name``; ``of`` is the layer whose output ``x`` is."""
+        x = self.ops.qdq(x, name)
+        self.taps.append(name)
+        if of is not None:
+            layer = self.layers[of]
+            layer["out_taps"].append((name, x.size // layer["positions"]))
+        self._record(name, x)
+        return x
+
+    def linear(self, name: str, x: np.ndarray, src: str) -> np.ndarray:
+        """Layer ``name`` on ``x``, the activations of tap ``src``."""
+        w, b = self.ops.weight(name)
+        if name.endswith(".conv"):
+            y = causal_depthwise_conv(x, w, b)
+        elif name == "head":
+            # one reduction per class row, so a logit's rounding does not
+            # depend on the position of its row
+            y = (w * x).sum(axis=-1) + b
+        else:
+            y = x @ w.T
+            if b is not None:
+                y = y + b
+        self.layers[name] = dict(in_tap=src, out_taps=[], positions=y.size // y.shape[-1])
+        self._record("linear:" + name, y)
+        return y
+
+    def tokenize(self, window: np.ndarray) -> np.ndarray:
+        """Strided 2D conv over (channels x patch) blocks + positional embedding.
+
+        Each of the n_patches positions yields n_groups feature groups of width
+        d_model; tokens are ordered position-major (token p*G+g).
+        """
+        cfg = self.cfg
+        window = np.asarray(window, dtype=np.float64)
+        if window.shape != (cfg.n_channels, cfg.n_samples):
+            raise ValueError(
+                f"window shape {window.shape} != ({cfg.n_channels}, {cfg.n_samples})")
+        x = self.tap(window, "input")
+        feats = self.linear("tokenizer", patch_matrix(x, cfg), "input")
+        tok_conv = self.tap(feats.reshape(cfg.n_tokens, cfg.d_model), "tok_conv",
+                            of="tokenizer")
+        return self.tap(tok_conv + self.ops.pos, "tokens")
+
+    def branch(self, tokens: np.ndarray, i: int, d: str) -> np.ndarray:
+        """Scan direction ``d`` of block ``i``. The backward branch reverses the
+        token sequence before and after the shared forward machinery."""
+        cfg = self.cfg
+        src = "tokens" if i == 0 else f"blocks.{i - 1}.out"
+        p = f"blocks.{i}.{d}."
+        xz = self.linear(p + "in_proj", tokens if d == "fwd" else tokens[::-1], src)
+        x = self.tap(xz[:, :cfg.d_inner], p + "x", of=p + "in_proj")
+        gate = self.tap(xz[:, cfg.d_inner:], p + "gate", of=p + "in_proj")
+        conv = self.tap(self.linear(p + "conv", x, p + "x"), p + "conv", of=p + "conv")
+        u = self.tap(silu(conv), p + "u")
+
+        dbl = self.linear(p + "x_proj", u, p + "u")
+        dr, ds = cfg.dt_rank, cfg.d_state
+        dt_raw = self.tap(dbl[:, :dr], p + "dt_raw", of=p + "x_proj")
+        b = self.tap(dbl[:, dr:dr + ds], p + "b", of=p + "x_proj")
+        c = self.tap(dbl[:, dr + ds:], p + "c", of=p + "x_proj")
+        dt_pre = self.tap(self.linear(p + "dt_proj", dt_raw, p + "dt_raw"), p + "dt_pre",
+                          of=p + "dt_proj")
+
+        delta = np.clip(softplus(dt_pre), cfg.dt_min, cfg.dt_max)
+        a, d_skip = self.ops.scan(i, d)
+        y = self.tap(selective_scan(u, delta, a, b, c, d_skip), p + "y")
+        gated = self.tap(y * silu(gate), p + "gated")
+        out = self.linear(p + "out_proj", gated, p + "gated")
+        return self.tap(out if d == "fwd" else out[::-1], p + "branch", of=p + "out_proj")
+
+    def block(self, tokens: np.ndarray, i: int) -> np.ndarray:
+        """Bidirectional block ``i``: fused branches around a residual."""
+        f = self.branch(tokens, i, "fwd")
+        b = self.branch(tokens, i, "bwd")
+        fused = self.tap(self.ops.fuse(i, f, b), f"blocks.{i}.fused")
+        return self.tap(tokens + fused, f"blocks.{i}.out")
+
+    def run(self, window: np.ndarray) -> np.ndarray:
+        """Window (n_channels, n_samples) -> class logits (n_classes,)."""
+        tokens = self.tokenize(window)
+        for i in range(self.cfg.n_blocks):
+            tokens = self.block(tokens, i)
+        pooled = self.tap(tokens.mean(axis=0), "pooled")
+        logits = self.linear("head", pooled, "pooled")
+        self._record("logits", logits)
+        return logits
 
 
 def forward(window: np.ndarray, weights: FembaWeights, cfg: ModelConfig,
             trace: dict | None = None) -> np.ndarray:
     """Window (n_channels, n_samples) -> class logits (n_classes,)."""
-    if trace is not None:
-        trace["input"] = np.asarray(window, dtype=np.float64)
-    gd = cfg.n_groups * cfg.d_model
-    kmat = weights.tok_kernel.reshape(gd, cfg.n_channels * cfg.patch_size)
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (cfg.n_channels, cfg.n_samples):
-        raise ValueError(
-            f"window shape {window.shape} != ({cfg.n_channels}, {cfg.n_samples})")
-    feats = patch_matrix(window, cfg) @ kmat.T + weights.tok_bias
-    tok_conv = feats.reshape(cfg.n_tokens, cfg.d_model)
-    if trace is not None:
-        trace["tok_conv"] = tok_conv
-    tokens = tok_conv + weights.pos_embed
-    if trace is not None:
-        trace["tokens"] = tokens
-
-    for i, block in enumerate(weights.blocks):
-        tokens = bi_mamba_block(tokens, block, cfg, trace=trace, prefix=f"blocks.{i}.")
-
-    pooled = tokens.mean(axis=0)
-    if trace is not None:
-        trace["pooled"] = pooled
-    return pooled @ weights.head_w.T + weights.head_b
+    return Walk(FloatOps(weights, cfg), cfg, trace).run(window)
 
 
 def forward_with_trace(window, weights, cfg) -> tuple[np.ndarray, dict]:
@@ -337,17 +402,25 @@ def forward_with_trace(window, weights, cfg) -> tuple[np.ndarray, dict]:
     return logits, trace
 
 
+@functools.cache
+def graph(cfg: ModelConfig) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """Taps and layers of the network in walk order, read off one walk.
+
+    A layer is ``(name, in_tap, out_taps)``: the tap it reads and the
+    ``(tap, rows)`` its output rows feed. Names and widths do not depend on
+    the number of patches or on the weights, so the walk covers a single
+    patch position with zero weights.
+    """
+    one = replace(cfg, n_samples=cfg.patch_size, n_tokens=cfg.n_groups)
+    walk = Walk(FloatOps(zero_weights(one), one), one)
+    walk.run(np.zeros((one.n_channels, one.n_samples)))
+    return tuple(walk.taps), tuple((name, layer["in_tap"], tuple(layer["out_taps"]))
+                                   for name, layer in walk.layers.items())
+
+
 def quant_points(cfg: ModelConfig) -> list[str]:
     """Ordered names of every activation quantization point in the network."""
-    names = ["input", "tok_conv", "tokens"]
-    per_dir = ("x", "gate", "conv", "u", "dt_raw", "b", "c", "dt_pre",
-               "y", "gated", "branch")
-    for i in range(cfg.n_blocks):
-        for d in ("fwd", "bwd"):
-            names += [f"blocks.{i}.{d}.{t}" for t in per_dir]
-        names += [f"blocks.{i}.fused", f"blocks.{i}.out"]
-    names.append("pooled")
-    return names
+    return list(graph(cfg)[0])
 
 
 def scaled_config(cfg: ModelConfig, **overrides) -> ModelConfig:

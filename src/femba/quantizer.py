@@ -196,64 +196,34 @@ def fake_quantize(a: np.ndarray, n: int, bits: int = 8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # model-level quantization
 
-# matmul-style layers: name -> (input tap, [(output tap, row count fn)], bias attr)
 def layer_catalog(cfg: fm.ModelConfig) -> list[dict]:
-    layers = [dict(name="tokenizer", in_tap="input",
-                   out_taps=[("tok_conv", cfg.n_groups * cfg.d_model)], bias=True)]
-    for i in range(cfg.n_blocks):
-        block_in = "tokens" if i == 0 else f"blocks.{i - 1}.out"
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            layers += [
-                dict(name=p + "in_proj", in_tap=block_in,
-                     out_taps=[(p + "x", cfg.d_inner), (p + "gate", cfg.d_inner)], bias=False),
-                dict(name=p + "conv", in_tap=p + "x",
-                     out_taps=[(p + "conv", cfg.d_inner)], bias=True),
-                dict(name=p + "x_proj", in_tap=p + "u",
-                     out_taps=[(p + "dt_raw", cfg.dt_rank), (p + "b", cfg.d_state),
-                               (p + "c", cfg.d_state)], bias=False),
-                dict(name=p + "dt_proj", in_tap=p + "dt_raw",
-                     out_taps=[(p + "dt_pre", cfg.d_inner)], bias=True),
-                dict(name=p + "out_proj", in_tap=p + "gated",
-                     out_taps=[(p + "branch", cfg.d_model)], bias=False),
-            ]
-    layers.append(dict(name="head", in_tap="pooled", out_taps=None, bias=True))
-    return layers
+    """Weighted layers in walk order: ``dict(name, in_tap, out_taps)`` with
+    ``out_taps`` the ``(tap, rows)`` its output rows feed (empty for the head)."""
+    return [dict(name=name, in_tap=in_tap, out_taps=list(out_taps))
+            for name, in_tap, out_taps in fm.graph(cfg)[1]]
 
 
 def weight_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
     """All quantizable weight tensors as (out_channels, ...) float arrays."""
-    gd = cfg.n_groups * cfg.d_model
-    out = {
-        "tokenizer": weights.tok_kernel.reshape(gd, -1),
-        "pos": weights.pos_embed,
-        "head": weights.head_w,
-    }
-    for i, blk in enumerate(weights.blocks):
-        for d, br in (("fwd", blk.fwd), ("bwd", blk.bwd)):
-            p = f"blocks.{i}.{d}."
-            out[p + "in_proj"] = br.in_proj
-            out[p + "conv"] = br.conv_w
-            out[p + "x_proj"] = br.x_proj
-            out[p + "dt_proj"] = br.dt_proj
-            out[p + "out_proj"] = br.out_proj
-            out[p + "a_mat"] = -np.exp(br.a_log)
-            out[p + "d_skip"] = br.d_skip.reshape(1, -1)  # per-tensor scale
+    ops = fm.FloatOps(weights, cfg)
+    out = {layer["name"]: ops.weight(layer["name"])[0] for layer in layer_catalog(cfg)}
+    out["pos"] = ops.pos
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            a, d_skip = ops.scan(i, d)
+            out[f"blocks.{i}.{d}.a_mat"] = a
+            out[f"blocks.{i}.{d}.d_skip"] = d_skip.reshape(1, -1)  # per-tensor scale
     return out
 
 
 def bias_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
-    """Float biases per matmul layer; layers without a trained bias get zeros
-    so bias correction has a place to land."""
-    out = {"tokenizer": weights.tok_bias.copy(), "head": weights.head_b.copy()}
-    for i, blk in enumerate(weights.blocks):
-        for d, br in (("fwd", blk.fwd), ("bwd", blk.bwd)):
-            p = f"blocks.{i}.{d}."
-            out[p + "in_proj"] = np.zeros(2 * cfg.d_inner)
-            out[p + "conv"] = br.conv_b.copy()
-            out[p + "x_proj"] = np.zeros(cfg.dt_rank + 2 * cfg.d_state)
-            out[p + "dt_proj"] = br.dt_bias.copy()
-            out[p + "out_proj"] = np.zeros(cfg.d_model)
+    """Float biases per weighted layer; layers without a trained bias get
+    zeros so bias correction has a place to land."""
+    ops = fm.FloatOps(weights, cfg)
+    out = {}
+    for layer in layer_catalog(cfg):
+        w, b = ops.weight(layer["name"])
+        out[layer["name"]] = np.zeros(w.shape[0]) if b is None else b.copy()
     return out
 
 
@@ -315,8 +285,26 @@ def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
 # ---------------------------------------------------------------------------
 # fake-quantized forward (float semantics)
 
-def _dequant_w(art: QuantArtifacts, name: str) -> np.ndarray:
-    return art.weights_q[name].dequant()
+class _FakeQuantOps(fm.FloatOps):
+    """Op set of the fake-quantized model: dequantized weights, the
+    (correctable) biases of the artifacts, and quantize-dequantize at every
+    tap. Fusion keeps the float model's projection."""
+
+    def __init__(self, weights: fm.FembaWeights, cfg: fm.ModelConfig, art: QuantArtifacts):
+        super().__init__(weights, cfg)
+        self.art = art
+        self.pos = art.weights_q["pos"].dequant()
+
+    def weight(self, name: str):
+        return self.art.weights_q[name].dequant(), self.art.biases[name]
+
+    def scan(self, i: int, d: str):
+        p = f"blocks.{i}.{d}."
+        return (self.art.weights_q[p + "a_mat"].dequant(),
+                self.art.weights_q[p + "d_skip"].dequant().reshape(-1))
+
+    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
+        return fake_quantize(x, self.art.exponent(tap))
 
 
 def fake_quant_forward(weights: fm.FembaWeights, cfg: fm.ModelConfig,
@@ -326,99 +314,32 @@ def fake_quant_forward(weights: fm.FembaWeights, cfg: fm.ModelConfig,
     activation point. With mode fp32 this is the plain float forward."""
     if art.mode == "fp32":
         return fm.forward(window, weights, cfg, trace=trace)
-
-    def qdq(x, tap):
-        v = fake_quantize(x, art.exponent(tap))
-        if trace is not None:
-            trace[tap] = v
-        return v
-
-    def lin(x, name):
-        y = x @ _dequant_w(art, name).T + art.biases[name]
-        if trace is not None:
-            trace["linear:" + name] = y
-        return y
-
-    x = qdq(np.asarray(window, dtype=np.float64), "input")
-    feats = lin(fm.patch_matrix(x, cfg), "tokenizer")
-    tok_conv = qdq(feats.reshape(cfg.n_tokens, cfg.d_model), "tok_conv")
-    pos = _dequant_w(art, "pos")
-    tokens = qdq(tok_conv + pos, "tokens")
-
-    for i in range(cfg.n_blocks):
-        branches = {}
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            seq = tokens if d == "fwd" else tokens[::-1]
-            xz = lin(seq, p + "in_proj")
-            xq = qdq(xz[:, :cfg.d_inner], p + "x")
-            gate = qdq(xz[:, cfg.d_inner:], p + "gate")
-
-            conv_w = _dequant_w(art, p + "conv")
-            conv = fm.causal_depthwise_conv(xq, conv_w, art.biases[p + "conv"])
-            if trace is not None:
-                trace["linear:" + p + "conv"] = conv
-            conv = qdq(conv, p + "conv")
-            u = qdq(fm.silu(conv), p + "u")
-
-            dbl = lin(u, p + "x_proj")
-            dr, ds = cfg.dt_rank, cfg.d_state
-            dt_raw = qdq(dbl[:, :dr], p + "dt_raw")
-            b = qdq(dbl[:, dr:dr + ds], p + "b")
-            c = qdq(dbl[:, dr + ds:], p + "c")
-            dt_pre = qdq(lin(dt_raw, p + "dt_proj"), p + "dt_pre")
-
-            delta = np.clip(fm.softplus(dt_pre), cfg.dt_min, cfg.dt_max)
-            a = _dequant_w(art, p + "a_mat")
-            d_skip = _dequant_w(art, p + "d_skip").reshape(-1)
-            y = qdq(fm.selective_scan(u, delta, a, b, c, d_skip), p + "y")
-            gated = qdq(y * fm.silu(gate), p + "gated")
-            out = lin(gated, p + "out_proj")
-            branches[d] = qdq(out if d == "fwd" else out[::-1], p + "branch")
-
-        fused = qdq(fm.fuse_branches(branches["fwd"], branches["bwd"], cfg,
-                                     weights.blocks[i].fuse_proj), f"blocks.{i}.fused")
-        tokens = qdq(tokens + fused, f"blocks.{i}.out")
-
-    pooled = qdq(tokens.mean(axis=0), "pooled")
-    logits = lin(pooled, "head")
-    if trace is not None:
-        trace["logits"] = logits
-    return logits
+    return fm.Walk(_FakeQuantOps(weights, cfg, art), cfg, trace).run(window)
 
 
 def bias_correct(weights: fm.FembaWeights, cfg: fm.ModelConfig,
                  art: QuantArtifacts, windows) -> dict[str, np.ndarray]:
-    """Per-output-channel bias correction.
+    """Per-output-channel bias correction (Nagel et al., arXiv:1906.04721).
 
     Layers are corrected in topological order; each correction adds the mean
     (over the calibration set and sequence positions) of float minus
-    fake-quant linear output to the float bias, exactly zeroing that layer's
-    mean error before moving downstream.
+    fake-quant output of the layer, read from both walks' ``linear:<name>``
+    trace entries, to its bias, exactly zeroing that layer's mean error
+    before moving downstream.
     """
     windows = list(windows)
     if not art.act:
         raise CalibrationError("bias correction requires calibrated scales")
-    float_traces = []
-    for w in windows:
-        logits, tr = fm.forward_with_trace(w, weights, cfg)
-        tr["logits"] = logits
-        float_traces.append(tr)
-
-    def layer_float_out(tr, layer):
-        if layer["name"] == "head":
-            return np.atleast_2d(tr["logits"])
-        return np.concatenate([np.atleast_2d(tr[t]) for t, _ in layer["out_taps"]], axis=-1)
-
+    float_traces = [fm.forward_with_trace(w, weights, cfg)[1] for w in windows]
     corrections = {}
     for layer in layer_catalog(cfg):
         name = layer["name"]
+        key = "linear:" + name
         diffs = []
         for w, ftr in zip(windows, float_traces):
             qtr: dict = {}
             fake_quant_forward(weights, cfg, art, w, trace=qtr)
-            fq_out = np.atleast_2d(qtr["linear:" + name])
-            diffs.append(layer_float_out(ftr, layer) - fq_out)
+            diffs.append(np.atleast_2d(ftr[key]) - np.atleast_2d(qtr[key]))
         delta = np.concatenate(diffs, axis=0).mean(axis=0)
         art.biases[name] = art.biases[name] + delta
         corrections[name] = delta

@@ -197,62 +197,44 @@ def _aligned_weights(image: im.EngineImage):
     return ws, bs
 
 
+class _ImageOps:
+    """Op set of a deployment image's float view: weights dequantized under
+    its aligned scales, quantize-dequantize at its exponents."""
+
+    def __init__(self, image: im.EngineImage):
+        cfg, n = image.cfg, image.act_exp
+        self.image, self.cfg, self.n = image, cfg, n
+        self.ws, self.bs = _aligned_weights(image)
+        pos_q = _vec(image.pos_kind, image.pos_q, image.pos_words,
+                     (cfg.n_tokens, cfg.d_model)).astype(np.float64)
+        s_pos = image.pos_m.astype(np.float64) * 2.0 ** (-image.pos_k - n["tok_conv"])
+        self.pos = pos_q * s_pos[:, None]
+
+    def weight(self, name: str):
+        return self.ws[name], self.bs[name]
+
+    def scan(self, i: int, d: str):
+        cfg, n, sp = self.cfg, self.n, self.image.scan[(i, d)]
+        p = f"blocks.{i}.{d}."
+        a_q = _vec(sp.a_kind, sp.a_q, sp.a_words, (cfg.d_inner, cfg.d_state))
+        s_a = sp.a_m.astype(np.float64) * 2.0 ** (-sp.a_k - 1)
+        a = a_q.astype(np.float64) * s_a[:, None]
+        d_q = _vec(sp.d_kind, sp.d_q, sp.d_words, (cfg.d_inner,))
+        s_d = sp.d_m * 2.0 ** (-sp.d_k) * 2.0 ** (n[p + "u"] - n[p + "c"] - 15)
+        # match the LUT path, which clamps exp(delta*a) at 1 for a >= 0
+        return np.minimum(a, 0.0), d_q.astype(np.float64) * s_d
+
+    def fuse(self, i: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return fm.fuse_branches(f, b, self.cfg)
+
+    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
+        n = self.n[tap]
+        q = np.clip(np.sign(x) * np.floor(np.abs(x) * 2.0 ** n + 0.5), -127, 127)
+        return q * 2.0 ** (-n)
+
+
 def fakequant_float_from_image(image: im.EngineImage, window: np.ndarray) -> np.ndarray:
     """Float-arithmetic fake-quant forward using the image's aligned scales:
     quantize/dequantize at every activation point, dequantized weights, exact
     nonlinearities (the integer path's float-domain counterpart)."""
-    cfg = image.cfg
-    n = image.act_exp
-    ws, bs = _aligned_weights(image)
-
-    def qdq(x, tap):
-        q = np.clip(np.sign(x) * np.floor(np.abs(x) * 2.0 ** n[tap] + 0.5), -127, 127)
-        return q * 2.0 ** (-n[tap])
-
-    x = qdq(np.asarray(window, dtype=np.float64), "input")
-    feats = fm.patch_matrix(x, cfg) @ ws["tokenizer"].T + bs["tokenizer"]
-    tok_conv = qdq(feats.reshape(cfg.n_tokens, cfg.d_model), "tok_conv")
-    pos_q = _vec(image.pos_kind, image.pos_q, image.pos_words,
-                 (cfg.n_tokens, cfg.d_model)).astype(np.float64)
-    s_pos = image.pos_m.astype(np.float64) * 2.0 ** (-image.pos_k - n["tok_conv"])
-    tokens = qdq(tok_conv + pos_q * s_pos[:, None], "tokens")
-
-    for i in range(cfg.n_blocks):
-        outs = {}
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            seq = tokens[::-1] if d == "bwd" else tokens
-            xz = seq @ ws[p + "in_proj"].T + bs[p + "in_proj"]
-            xq = qdq(xz[:, :cfg.d_inner], p + "x")
-            gate = qdq(xz[:, cfg.d_inner:], p + "gate")
-            conv = fm.causal_depthwise_conv(xq, ws[p + "conv"], bs[p + "conv"])
-            conv = qdq(conv, p + "conv")
-            u = qdq(fm.silu(conv), p + "u")
-            dbl = u @ ws[p + "x_proj"].T + bs[p + "x_proj"]
-            dr, ds = cfg.dt_rank, cfg.d_state
-            dt_raw = qdq(dbl[:, :dr], p + "dt_raw")
-            b = qdq(dbl[:, dr:dr + ds], p + "b")
-            cvec = qdq(dbl[:, dr + ds:], p + "c")
-            dt_pre = qdq(dt_raw @ ws[p + "dt_proj"].T + bs[p + "dt_proj"], p + "dt_pre")
-            delta = np.clip(fm.softplus(dt_pre), cfg.dt_min, cfg.dt_max)
-            sp = image.scan[(i, d)]
-            a_q = _vec(sp.a_kind, sp.a_q, sp.a_words, (cfg.d_inner, cfg.d_state))
-            s_a = sp.a_m.astype(np.float64) * 2.0 ** (-sp.a_k - 1)
-            a = a_q.astype(np.float64) * s_a[:, None]
-            d_q = _vec(sp.d_kind, sp.d_q, sp.d_words, (cfg.d_inner,))
-            s_d = sp.d_m * 2.0 ** (-sp.d_k) * 2.0 ** (n[p + "u"] - n[p + "c"] - 15)
-            # match the LUT path, which clamps exp(delta*a) at 1 for a >= 0
-            y = fm.selective_scan(u, delta, np.minimum(a, 0.0), b, cvec,
-                                  d_q.astype(np.float64) * s_d)
-            y = qdq(y, p + "y")
-            gated = qdq(y * fm.silu(gate), p + "gated")
-            o = gated @ ws[p + "out_proj"].T + bs[p + "out_proj"]
-            outs[d] = qdq(o[::-1] if d == "bwd" else o, p + "branch")
-        fused = outs["fwd"] + outs["bwd"]
-        if cfg.fusion == "mean":
-            fused = 0.5 * fused
-        fused = qdq(fused, f"blocks.{i}.fused")
-        tokens = qdq(tokens + fused, f"blocks.{i}.out")
-
-    pooled = qdq(tokens.mean(axis=0), "pooled")
-    return pooled @ ws["head"].T + bs["head"]
+    return fm.Walk(_ImageOps(image), image.cfg).run(window)

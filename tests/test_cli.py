@@ -175,6 +175,37 @@ class TestInfer:
         assert "w0.blocks.0.fwd.y" in d
 
 
+class TestCorruptImage:
+    """A malformed deployment image exits 2 with a message, not a traceback."""
+
+    @pytest.fixture()
+    def image_w2(self, tmp_path, tiny_checkpoint, tiny_archive):
+        out = tmp_path / "img2.fmbc"
+        assert run("quantize", tiny_checkpoint, out, "--mode", "w2a8",
+                   "--calib", tiny_archive) == 0
+        return ct.Container.load(out)
+
+    def infer_exit(self, tmp_path, capsys, image, archive):
+        path = tmp_path / "bad.fmbc"
+        image.save(path)
+        m = write_manifest(tmp_path, model=str(path), mode="w2a8",
+                           windows=archive, output=str(tmp_path / "l.fmbc"))
+        code = run("infer", m)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:")
+        return code
+
+    def test_short_act_exponents_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        image_w2.add("act_exponents", ct.DT_I8, image_w2.array("act_exponents")[:-1])
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+    def test_ternary_field_3_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        e = image_w2.get("blocks.0.bwd.out_proj.q")
+        e.data = e.data.copy()
+        e.data[0] |= np.uint32(3)
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+
 class TestBench:
     def test_totals_near_device(self, tmp_path, capsys):
         assert run("bench", "--format", "json") == 0

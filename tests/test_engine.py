@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femba import container as ct
 from femba import engine as eng
 from femba import image as im
 from femba import model as fm
@@ -468,3 +469,37 @@ class TestEngineForward:
         bad.data[0] = 2**31 - 1
         with pytest.raises(eng.EngineConfigError):
             im.load_image(c)
+
+
+class TestLoadImageChecks:
+    @pytest.fixture()
+    def image_w2(self, tiny_cfg, tiny_weights, tiny_windows):
+        art = qz.quantize_model(tiny_weights, tiny_cfg, "w2a8", tiny_windows)
+        return im.build_image(tiny_cfg, art)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_act_exponent_count_checked(self, image_w2, delta):
+        exps = image_w2.array("act_exponents")
+        image_w2.add("act_exponents", ct.DT_I8,
+                     np.concatenate([exps, exps])[:exps.size + delta])
+        with pytest.raises(ct.FormatError, match="act_exponents"):
+            im.load_image(image_w2)
+
+    def test_ternary_field_3_rejected(self, image_w2):
+        e = image_w2.get("blocks.0.fwd.in_proj.q")
+        e.data = e.data.copy()
+        e.data[1] |= np.uint32(3 << 6)  # weight 19
+        with pytest.raises(ct.FormatError, match="field value 3"):
+            im.load_image(image_w2)
+
+    def test_ternary_field_3_in_padding_ignored(self, tiny_cfg, image_w2):
+        # head.q holds 3 x 8 = 24 weights: fields 8..15 of its second word pad
+        e = image_w2.get("head.q")
+        assert int(np.prod(e.dims)) == 24
+        e.data = e.data.copy()
+        e.data[1] |= np.uint32(3 << 30)
+        img = im.load_image(image_w2)
+        win = make_windows(tiny_cfg, 1, seed=5)[0]
+        li_e, _, _ = eng.engine_forward(img, win)
+        li_r, _ = ref.reference_int_forward(img, win)
+        np.testing.assert_array_equal(li_e, li_r)

@@ -118,25 +118,30 @@ class TestSelectiveScan:
 
 # --- branches and blocks -----------------------------------------------------
 
+def walk(weights, cfg, trace=None):
+    return fm.Walk(fm.FloatOps(weights, cfg), cfg, trace)
+
+
 class TestMambaBranch:
     def test_reversal_symmetry(self, tiny_cfg, tiny_weights):
+        import copy
         tokens = np.random.default_rng(3).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        p = tiny_weights.blocks[0].bwd
-        bwd = fm.mamba_branch(tokens, p, "bwd", tiny_cfg)
-        fwd_of_rev = fm.mamba_branch(tokens[::-1], p, "fwd", tiny_cfg)[::-1]
+        w = copy.deepcopy(tiny_weights)
+        w.blocks[0].fwd = w.blocks[0].bwd
+        bwd = walk(w, tiny_cfg).branch(tokens, 0, "bwd")
+        fwd_of_rev = walk(w, tiny_cfg).branch(tokens[::-1], 0, "fwd")[::-1]
         np.testing.assert_allclose(bwd, fwd_of_rev, atol=1e-6)
 
     def test_zero_weights_zero_output(self, tiny_cfg):
         w = fm.zero_weights(tiny_cfg)
         tokens = np.random.default_rng(4).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        out = fm.mamba_branch(tokens, w.blocks[0].fwd, "fwd", tiny_cfg)
+        out = walk(w, tiny_cfg).branch(tokens, 0, "fwd")
         assert np.all(out == 0)
 
     def test_matches_straight_line_oracle(self, tiny_cfg, tiny_weights):
         tokens = np.random.default_rng(5).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        p = tiny_weights.blocks[1].fwd
-        got = fm.mamba_branch(tokens, p, "fwd", tiny_cfg)
-        want = straight_line_branch(tokens, p, tiny_cfg)
+        got = walk(tiny_weights, tiny_cfg).branch(tokens, 1, "fwd")
+        want = straight_line_branch(tokens, tiny_weights.blocks[1].fwd, tiny_cfg)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -144,23 +149,22 @@ class TestBiMambaBlock:
     def test_zero_weights_identity(self, tiny_cfg):
         w = fm.zero_weights(tiny_cfg)
         tokens = np.random.default_rng(6).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        out = fm.bi_mamba_block(tokens, w.blocks[0], tiny_cfg)
+        out = walk(w, tiny_cfg).block(tokens, 0)
         np.testing.assert_allclose(out, tokens)
 
     def test_fwd_only_additive(self, tiny_cfg, tiny_weights):
         import copy
-        blk = copy.deepcopy(tiny_weights.blocks[0])
-        zero = fm.zero_weights(tiny_cfg).blocks[0].bwd
-        blk.bwd = zero
+        w = copy.deepcopy(tiny_weights)
+        w.blocks[0].bwd = fm.zero_weights(tiny_cfg).blocks[0].bwd
         tokens = np.random.default_rng(7).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        out = fm.bi_mamba_block(tokens, blk, tiny_cfg)
-        want = tokens + fm.mamba_branch(tokens, blk.fwd, "fwd", tiny_cfg)
+        out = walk(w, tiny_cfg).block(tokens, 0)
+        want = tokens + walk(w, tiny_cfg).branch(tokens, 0, "fwd")
         np.testing.assert_allclose(out, want, atol=1e-9)
 
     def test_matches_composed_sub_ops(self, tiny_cfg, tiny_weights):
         blk = tiny_weights.blocks[0]
         tokens = np.random.default_rng(8).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        got = fm.bi_mamba_block(tokens, blk, tiny_cfg)
+        got = walk(tiny_weights, tiny_cfg).block(tokens, 0)
         want = tokens + (straight_line_branch(tokens, blk.fwd, tiny_cfg)
                          + straight_line_branch(tokens[::-1], blk.bwd, tiny_cfg)[::-1])
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -169,14 +173,14 @@ class TestBiMambaBlock:
         cfg_mean = fm.scaled_config(tiny_cfg, fusion="mean")
         w = fm.init_weights(cfg_mean, seed=2)
         tokens = np.random.default_rng(9).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
-        f = fm.mamba_branch(tokens, w.blocks[0].fwd, "fwd", cfg_mean)
-        b = fm.mamba_branch(tokens, w.blocks[0].bwd, "bwd", cfg_mean)
-        out = fm.bi_mamba_block(tokens, w.blocks[0], cfg_mean)
+        f = walk(w, cfg_mean).branch(tokens, 0, "fwd")
+        b = walk(w, cfg_mean).branch(tokens, 0, "bwd")
+        out = walk(w, cfg_mean).block(tokens, 0)
         np.testing.assert_allclose(out, tokens + 0.5 * (f + b), atol=1e-9)
 
         cfg_cp = fm.scaled_config(tiny_cfg, fusion="concat_project")
         w2 = fm.init_weights(cfg_cp, seed=2)
-        out2 = fm.bi_mamba_block(tokens, w2.blocks[0], cfg_cp)
+        out2 = walk(w2, cfg_cp).block(tokens, 0)
         assert out2.shape == tokens.shape
 
 
@@ -184,8 +188,8 @@ class TestBiMambaBlock:
 
 class TestTokenize:
     def test_zero_window_yields_pos_embed_plus_bias(self, tiny_cfg, tiny_weights):
-        tokens = fm.tokenize(np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples)),
-                             tiny_weights, tiny_cfg)
+        tokens = walk(tiny_weights, tiny_cfg).tokenize(
+            np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples)))
         bias_tokens = np.tile(tiny_weights.tok_bias, tiny_cfg.n_patches).reshape(
             tiny_cfg.n_tokens, tiny_cfg.d_model)
         np.testing.assert_allclose(tokens, tiny_weights.pos_embed + bias_tokens)
@@ -194,8 +198,7 @@ class TestTokenize:
         import copy
         w = copy.deepcopy(tiny_weights)
         w.tok_bias = np.zeros_like(w.tok_bias)
-        tokens = fm.tokenize(np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples)),
-                             w, tiny_cfg)
+        tokens = walk(w, tiny_cfg).tokenize(np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples)))
         np.testing.assert_array_equal(tokens, w.pos_embed)
 
     def test_delta_input_single_tap(self, tiny_cfg):
@@ -204,7 +207,7 @@ class TestTokenize:
         w.tok_kernel[0, 0, 0] = 1.0
         window = np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples))
         window[0, tiny_cfg.patch_size * 2] = 7.0  # patch 2, offset 0
-        tokens = fm.tokenize(window, w, tiny_cfg)
+        tokens = walk(w, tiny_cfg).tokenize(window)
         # direct convolution oracle: response only at patch 2, feature 0
         expect = np.zeros_like(tokens)
         expect[2 * tiny_cfg.n_groups, 0] = 7.0
@@ -213,13 +216,13 @@ class TestTokenize:
     def test_default_shape(self):
         cfg = fm.ModelConfig()
         w = fm.zero_weights(cfg)
-        tokens = fm.tokenize(np.zeros((22, 1280)), w, cfg)
+        tokens = walk(w, cfg).tokenize(np.zeros((22, 1280)))
         assert tokens.shape == (160, 385)
 
     def test_shape_mismatch(self, tiny_cfg, tiny_weights):
         with pytest.raises(ValueError):
-            fm.tokenize(np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples + 1)),
-                        tiny_weights, tiny_cfg)
+            walk(tiny_weights, tiny_cfg).tokenize(
+                np.zeros((tiny_cfg.n_channels, tiny_cfg.n_samples + 1)))
 
 
 class TestForward:
@@ -243,7 +246,7 @@ class TestForward:
     def test_matches_straight_line_composition(self, tiny_cfg, tiny_weights):
         window = np.random.default_rng(12).normal(size=(tiny_cfg.n_channels,
                                                         tiny_cfg.n_samples))
-        tokens = fm.tokenize(window, tiny_weights, tiny_cfg)
+        tokens = walk(tiny_weights, tiny_cfg).tokenize(window)
         for blk in tiny_weights.blocks:
             tokens = tokens + (straight_line_branch(tokens, blk.fwd, tiny_cfg)
                                + straight_line_branch(tokens[::-1], blk.bwd, tiny_cfg)[::-1])

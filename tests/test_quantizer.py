@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from femba import model as fm
 from femba import quantizer as qz
 
-from conftest import make_windows
+from conftest import TINY, TINY_GROUPED, make_windows
 
 
 class TestQuantizeWeights:
@@ -233,27 +233,22 @@ class TestBiasCorrect:
         np.testing.assert_allclose(
             corr["blocks.0.fwd.conv"], corr2["blocks.0.fwd.conv"] - 0.37, atol=1e-9)
 
-    def test_post_correction_mean_error(self, tiny_cfg, tiny_weights, tiny_windows):
-        art = qz.quantize_model(tiny_weights, tiny_cfg, "w8a8", tiny_windows)
-        qz.bias_correct(tiny_weights, tiny_cfg, art, tiny_windows[:3])
+    @pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+    def test_post_correction_mean_error(self, cfg):
+        # the grouped config's tokenizer emits n_groups = 2 tokens per patch
+        weights = fm.init_weights(cfg, seed=11)
+        windows = make_windows(cfg, 6, seed=3)
+        art = qz.quantize_model(weights, cfg, "w8a8", windows)
+        qz.bias_correct(weights, cfg, art, windows[:3])
         # recompute per-layer mean float-vs-fakequant error; each should be ~0
-        float_traces = []
-        for win in tiny_windows[:3]:
-            logits, tr = fm.forward_with_trace(win, tiny_weights, tiny_cfg)
-            tr["logits"] = logits
-            float_traces.append(tr)
-        for layer in qz.layer_catalog(tiny_cfg):
-            name = layer["name"]
+        float_traces = [fm.forward_with_trace(win, weights, cfg)[1] for win in windows[:3]]
+        for layer in qz.layer_catalog(cfg):
+            key = "linear:" + layer["name"]
             diffs = []
-            for win, ftr in zip(tiny_windows[:3], float_traces):
+            for win, ftr in zip(windows[:3], float_traces):
                 qtr = {}
-                qz.fake_quant_forward(tiny_weights, tiny_cfg, art, win, trace=qtr)
-                if name == "head":
-                    fl = np.atleast_2d(ftr["logits"])
-                else:
-                    fl = np.concatenate([np.atleast_2d(ftr[t])
-                                         for t, _ in layer["out_taps"]], axis=-1)
-                diffs.append(fl - np.atleast_2d(qtr["linear:" + name]))
+                qz.fake_quant_forward(weights, cfg, art, win, trace=qtr)
+                diffs.append(np.atleast_2d(ftr[key]) - np.atleast_2d(qtr[key]))
             mean_err = np.concatenate(diffs, axis=0).mean(axis=0)
             np.testing.assert_allclose(mean_err, 0.0, atol=1e-6)
 
