@@ -154,7 +154,10 @@ class Container:
         for _ in range(n):
             (nlen,) = struct.unpack_from("<H", blob, pos)
             pos += 2
-            name = blob[pos:pos + nlen].decode("utf-8")
+            try:
+                name = blob[pos:pos + nlen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"entry name is not UTF-8: {exc} (at byte {pos})") from exc
             pos += nlen
             dtype, rank = struct.unpack_from("<BB", blob, pos)
             pos += 2

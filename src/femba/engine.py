@@ -1,9 +1,9 @@
 """Integer-only inference engine.
 
 Mirrors the deployment kernels: INT8 matrix multiplies with INT32
-accumulation, on-the-fly ternary unpacking inside the dot-product loop, a
-Q15 fixed-point selective scan with LUT-based exp/softplus/SiLU, and
-power-of-two requantization.
+accumulation, on-the-fly ternary unpacking of the weights, a Q15 fixed-point
+selective scan with LUT-based exp/softplus/SiLU, and power-of-two
+requantization.
 
 Number formats
   activations   INT8 on a power-of-two grid 2^-n (values in [-127, 127])
@@ -14,15 +14,39 @@ Number formats
                 result equals a plain round-half-up shift
   LUT output    int16 with a declared number of fractional bits
 
-The scan is channel-parallel: d_inner channels are split across workers and
-each worker runs its subset sequentially over time; any partition is
-bit-identical to sequential execution.
+Exact arithmetic on fast kernels
+  matmuls       the dot products run as float64 BLAS matmuls. Every operand
+                is an integer with |act| <= 127 and |w| <= 128, so every
+                partial sum, in whatever order and blocking the BLAS adds,
+                is an integer of magnitude at most d_in * 127 * 128 < 2^53
+                and float64 holds it exactly. load_image bounds the final
+                accumulator by INT32_MAX, far below that.
+  LUTs          lut_eval interpolates in int32: the position is clipped to
+                (LUT_SIZE-1) << step_shift < 2^31 and the rounded product of
+                an entry difference (|d| < 2^16) and the fraction
+                (< 2^step_shift <= 2^15) stays below 2^31. load_image checks
+                both bounds.
+  scan          q15_scan_core runs in int32: a step sums abar * h, bx * 2^15
+                and 2^14 before its shift by 15, at most
+                2^30 + 32767 * 2^15 + 2^14 < 2^31 in magnitude.
+
+Parallelism
+  The scan is channel-parallel: its d_inner channels are cut into blocks of
+  SCAN_BLOCK, small enough for the (T, block, d_state) temporaries to stay
+  in cache, and a pool of `workers` threads runs the blocks (numpy releases
+  the interpreter lock inside the block work). Each block runs sequentially
+  over time; the saturating Q15 update is not associative, so time is never
+  split. Integer results do not depend on the partition, so every worker
+  count gives bit-identical output. The matmuls take their threads from the
+  BLAS.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +61,11 @@ DT_FRAC = 11        # softplus output (step size)
 EXP_IN_FRAC = 12    # exp LUT input (step * state coefficient)
 SILU_OUT_FRAC = 12  # SiLU LUT output
 ACT_FRAC = 15       # int8 activations widened for LUT input
+
+# (input, output) fractional bits of each table, as both integer paths use it
+LUT_FORMATS = {"exp": (EXP_IN_FRAC, 15), "silu": (ACT_FRAC, SILU_OUT_FRAC),
+               "softplus": (ACT_FRAC, DT_FRAC)}
+LUT_MAX_STEP_SHIFT = 15  # |entry difference| * fraction + 2^14 < 2^16 * 2^15
 
 
 class EngineConfigError(ValueError):
@@ -59,7 +88,9 @@ def rhu_shift(v, k: int):
         return v.copy()
     if k < 0:
         return v << np.int64(-k)
-    return (v + (np.int64(1) << np.int64(k - 1))) >> np.int64(k)
+    out = v + (np.int64(1) << np.int64(k - 1))
+    out >>= np.int64(k)
+    return out
 
 
 def widen(q, from_frac: int, to_frac: int):
@@ -99,19 +130,33 @@ class Lut:
     def domain_hi(self) -> float:
         return (self.lo_fixed + (LUT_SIZE - 1) * (1 << self.step_shift)) / (1 << self.in_frac)
 
+    @functools.cached_property
+    def segments(self) -> np.ndarray:
+        """(LUT_SIZE, 2) int32: each entry and its difference to the next.
+        The last entry repeats past the end, so the top of the domain has
+        difference 0 and needs no index clamp."""
+        e = self.entries.astype(np.int32)
+        return np.stack([e, np.diff(e, append=e[-1])], axis=1)
+
 
 def lut_eval(lut: Lut, x_fixed) -> np.ndarray:
-    """Rounded linear interpolation between adjacent entries (pure integer)."""
-    x = np.asarray(x_fixed, dtype=np.int64)
-    step = np.int64(1 << lut.step_shift)
-    span = np.int64(LUT_SIZE - 1) * step
-    pos = np.clip(x - np.int64(lut.lo_fixed), 0, span)
-    idx = np.minimum(pos >> np.int64(lut.step_shift), LUT_SIZE - 2)
-    frac = pos - idx * step
-    e = lut.entries.astype(np.int64)
-    lo = e[idx]
-    d = e[idx + 1] - lo
-    return lo + rhu_shift(d * frac, lut.step_shift)
+    """Rounded linear interpolation between adjacent entries, in int32.
+
+    Returns int32 values inside the range of the int16 entries. The domain
+    [lo_fixed, lo_fixed + (LUT_SIZE-1) << step_shift] must lie inside int32
+    (load_image checks it).
+    """
+    s, lo = lut.step_shift, lut.lo_fixed
+    pos = np.empty(np.shape(x_fixed), dtype=np.int32)
+    np.clip(x_fixed, lo, lo + ((LUT_SIZE - 1) << s), out=pos, casting="unsafe")
+    pos -= lo
+    seg = lut.segments.take(np.right_shift(pos, s, dtype=np.intp), axis=0)
+    pos &= (1 << s) - 1  # the fraction
+    y = seg[..., 1] * pos
+    y += (1 << s) >> 1
+    y >>= s
+    y += seg[..., 0]
+    return y
 
 
 def _grid(lut_lo_fixed: int, in_frac: int, step_shift: int) -> np.ndarray:
@@ -155,8 +200,7 @@ def build_all_luts(dt_max: float = 10.0) -> dict[str, Lut]:
 # ---------------------------------------------------------------------------
 # integer kernels
 
-def _row_chunks(n_rows: int, workers: int) -> list[np.ndarray]:
-    return [c for c in np.array_split(np.arange(n_rows), workers) if c.size]
+SCAN_BLOCK = 128  # scan channels per block: (T, block, d_state) int64 is 2.6 MB at T = 160
 
 
 def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
@@ -165,43 +209,45 @@ def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
     return np.clip(rhu_shift(scaled, k), -clamp, clamp)
 
 
-def int8_matmul(act, w_q, bias, m, k: int, workers: int = 1) -> np.ndarray:
-    """out[t, o] = clamp(rhu((sum_i act[t,i] * w[o,i] + bias[o]) * m[o] >> k)).
+def _requantized_dot(act, w: np.ndarray, bias, m, k: int) -> np.ndarray:
+    """clamp(rhu((act @ w.T + bias) * m >> k)), the dot products accumulated
+    by float64 BLAS. Exact while no partial sum can reach 2^53.
 
-    Blocked over output rows; integer addition is associative, so any
-    blocking gives the identical result.
-    """
-    act = np.asarray(act, dtype=np.int64)
-    out = np.empty((act.shape[0], w_q.shape[0]), dtype=np.int64)
-    for rows in _row_chunks(w_q.shape[0], workers):
-        acc = act @ w_q[rows].astype(np.int64).T
-        if bias is not None:
-            acc = acc + bias[rows]
-        out[:, rows] = requantize(acc, m[rows], k)
-    return out
+    The body of both matmul kernels; ternary_matmul does not go through
+    int8_matmul, so profiles and MAC counts keep the two kernels apart."""
+    act = np.asarray(act, dtype=np.float64)
+    assert w.dtype == np.int8 and \
+        int(np.abs(act).max(initial=0)) * 128 * act.shape[1] < 2**53, \
+        "float64 accumulation would round"
+    acc = (act @ w.astype(np.float64).T).astype(np.int64)
+    if bias is not None:
+        acc += bias
+    return requantize(acc, m, k)
+
+
+def int8_matmul(act, w_q, bias, m, k: int) -> np.ndarray:
+    """out[t, o] = clamp(rhu((sum_i act[t,i] * w[o,i] + bias[o]) * m[o] >> k)),
+    the sums exact in float64 BLAS."""
+    return _requantized_dot(act, w_q, bias, m, k)
+
+
+_FIELD_SHIFTS = np.arange(0, 32, 2, dtype=np.uint32)
 
 
 def unpack_rows(words: np.ndarray, d_in: int, rows: np.ndarray) -> np.ndarray:
     """Shift-and-mask extraction of 2-bit fields for the given weight rows,
-    mapped back to {-1, 0, +1}."""
-    flat_idx = (rows[:, None] * d_in + np.arange(d_in)[None, :]).astype(np.int64)
-    w = words[flat_idx >> 4].astype(np.uint32)
-    fields = (w >> (2 * (flat_idx & 15)).astype(np.uint32)) & np.uint32(3)
-    return fields.astype(np.int64) - 1
-
-
-def ternary_matmul(act, words, shape, bias, m, k: int, workers: int = 1) -> np.ndarray:
-    """int8_matmul with weights unpacked on the fly inside the row loop."""
-    act = np.asarray(act, dtype=np.int64)
-    d_out, d_in = shape
-    out = np.empty((act.shape[0], d_out), dtype=np.int64)
-    for rows in _row_chunks(d_out, workers):
-        w_rows = unpack_rows(words, d_in, rows)
-        acc = act @ w_rows.T
-        if bias is not None:
-            acc = acc + bias[rows]
-        out[:, rows] = requantize(acc, m[rows], k)
+    mapped back to {-1, 0, +1} as int8."""
+    fields = ((words[:, None] >> _FIELD_SHIFTS) & np.uint32(3)).astype(np.int8).ravel()
+    n_rows = fields.size // d_in
+    out = fields[:n_rows * d_in].reshape(n_rows, d_in)[rows]
+    out -= 1
     return out
+
+
+def ternary_matmul(act, words, shape, bias, m, k: int) -> np.ndarray:
+    """int8_matmul with the weights unpacked from their 2-bit fields per call."""
+    d_out, d_in = shape
+    return _requantized_dot(act, unpack_rows(words, d_in, np.arange(d_out)), bias, m, k)
 
 
 def depthwise_conv_int8(x, kernel, bias, m, k: int) -> np.ndarray:
@@ -233,58 +279,35 @@ class EngineStats:
 
 
 def q15_scan_core(abar, bx, stats: EngineStats | None = None) -> np.ndarray:
-    """h_t = sat(q15_mul(abar_t, h_{t-1}) + bx_t), h_0 = 0.
+    """h_t = sat(q15_mul(abar_t, h_{t-1}) + bx_t), h_0 = 0, in int32.
 
-    abar: (T, C, S) or (C, S); bx: (T, C, S). Returns int16 h of shape (T, C, S).
+    abar: (T, C, S) or (C, S); bx: (T, C, S); both hold Q15 values (the
+    int16 range). Each step computes (abar_t * h + bx_t * 2^15 + 2^14) >> 15,
+    which equals q15_mul(abar_t, h) + bx_t and stays inside int32:
+    2^30 + 32767 * 2^15 + 2^14 < 2^31. Returns the int32 state sequence h of
+    shape (T, C, S).
     """
-    bx = np.asarray(bx, dtype=np.int64)
-    t_len = bx.shape[0]
-    abar = np.asarray(abar, dtype=np.int64)
+    v = np.array(bx, dtype=np.int32)  # becomes the pre-saturation sums
+    v <<= 15
+    v += 1 << 14
+    abar = np.asarray(abar, dtype=np.int32)
     time_varying = abar.ndim == 3
-    h = np.zeros(bx.shape[1:], dtype=np.int64)
-    out = np.empty(bx.shape, dtype=np.int16)
-    sat = 0
-    for t in range(t_len):
-        a_t = abar[t] if time_varying else abar
-        v = ((a_t * h + (1 << 14)) >> 15) + bx[t]
-        clipped = np.clip(v, Q15_MIN, Q15_MAX)
-        sat += int(np.count_nonzero(clipped != v))
-        h = clipped
-        out[t] = h.astype(np.int16)
+    hs = np.empty_like(v)
+    h = np.zeros(v.shape[1:], dtype=np.int32)
+    decay = np.empty_like(h)
+    # full-size bounds: numpy's min/max run much slower against a scalar
+    lo, hi = np.full_like(h, Q15_MIN), np.full_like(h, Q15_MAX)
+    for t in range(v.shape[0]):
+        np.multiply(abar[t] if time_varying else abar, h, out=decay)
+        v[t] += decay
+        v[t] >>= 15
+        h = hs[t]
+        np.maximum(v[t], lo, out=h)
+        np.minimum(h, hi, out=h)
     if stats is not None:
-        stats.scan_sat_events += sat
-        stats.scan_steps += int(np.prod(bx.shape))
-    return out
-
-
-def q15_selective_scan(x_q, abar_q, bbar_q, c_q=None, d_q=None,
-                       workers: int = 1, stats: EngineStats | None = None) -> np.ndarray:
-    """Channel-parallel Q15 recurrence on precomputed Q15 parameters.
-
-    x_q: (T, C) Q15 inputs; abar_q/bbar_q: (C, S) or (T, C, S) Q15.
-    With c_q (S,) and optional d_q (C,), returns Q15 outputs y (T, C);
-    otherwise returns the raw state sequence (T, C, S).
-    """
-    x_q = np.asarray(x_q, dtype=np.int64)
-    t_len, n_ch = x_q.shape
-    abar_q = np.asarray(abar_q, dtype=np.int64)
-    bbar_q = np.asarray(bbar_q, dtype=np.int64)
-    if abar_q.ndim == 2:
-        abar_q = np.broadcast_to(abar_q, (t_len,) + abar_q.shape)
-    if bbar_q.ndim == 2:
-        bbar_q = np.broadcast_to(bbar_q, (t_len,) + bbar_q.shape)
-    stats = stats if stats is not None else EngineStats()
-
-    h = np.empty((t_len, n_ch, abar_q.shape[2]), dtype=np.int16)
-    for ch in _row_chunks(n_ch, workers):
-        bx = q15_mul(bbar_q[:, ch, :], x_q[:, ch, None])
-        h[:, ch, :] = q15_scan_core(abar_q[:, ch, :], bx, stats=stats)
-    if c_q is None:
-        return h
-    y = q15_mul(c_q, h.astype(np.int64)).sum(axis=2)
-    if d_q is not None:
-        y = y + q15_mul(np.asarray(d_q, dtype=np.int64), x_q)
-    return np.clip(y, Q15_MIN, Q15_MAX)
+        stats.scan_sat_events += int(np.count_nonzero(v != hs))
+        stats.scan_steps += v.size
+    return hs
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +318,11 @@ def _quantize_input(x: np.ndarray, n: int) -> np.ndarray:
     return np.clip(q, -INT8_MAX, INT8_MAX).astype(np.int64)
 
 
-def _matmul_layer(image, name: str, act, workers: int) -> np.ndarray:
+def _matmul_layer(image, name: str, act) -> np.ndarray:
     lay = image.layers[name]
     if lay.kind == "t2":
-        return ternary_matmul(act, lay.words, lay.shape, lay.bias, lay.m, lay.k, workers)
-    return int8_matmul(act, lay.q, lay.bias, lay.m, lay.k, workers)
+        return ternary_matmul(act, lay.words, lay.shape, lay.bias, lay.m, lay.k)
+    return int8_matmul(act, lay.q, lay.bias, lay.m, lay.k)
 
 
 def _align_add(q_a, n_a: int, q_b, n_b: int, n_out: int) -> np.ndarray:
@@ -322,28 +345,40 @@ def _scan_direction(image, i: int, d: str, u_q, b_q, c_q, dtpre_q,
 
     dt_fix = lut_eval(image.luts["softplus"],
                       widen(dtpre_q, exp_n[p + "dt_pre"], ACT_FRAC))  # (T, C), DT_FRAC
-
     if sp.a_kind == "t2":
         a_q = unpack_rows(sp.a_words, cfg.d_state, np.arange(cfg.d_inner))
     else:
-        a_q = sp.a_q.astype(np.int64)
-    la = rhu_shift(dt_fix[:, :, None] * a_q[None] * sp.a_m[None, :, None], sp.a_k)
-    abar = lut_eval(image.luts["exp"], la)  # (T, C, S) Q15
+        a_q = sp.a_q
+    a_coef = a_q * sp.a_m[:, None]  # (C, S)
+    dt_u = dt_fix * u_q
+    c_q = c_q.astype(np.int64)
+    bx_shift = DT_FRAC + n_u + n_b - 15
 
-    prod = (dt_fix * u_q)[:, :, None] * b_q[:, None, :]
-    bx_raw = rhu_shift(prod, DT_FRAC + n_u + n_b - 15)
-    bx = np.clip(bx_raw, Q15_MIN, Q15_MAX)
-    stats.scan_sat_events += int(np.count_nonzero(bx != bx_raw))
+    def scan_block(ch: slice):
+        """y accumulator (T, block) and stats of one channel block."""
+        block_stats = EngineStats()
+        la = rhu_shift(dt_fix[:, ch, None] * a_coef[ch], sp.a_k)
+        abar = lut_eval(image.luts["exp"], la)  # (T, block, S) Q15
+        bx_raw = rhu_shift(dt_u[:, ch, None] * b_q[:, None, :], bx_shift)
+        bx = np.empty(bx_raw.shape, dtype=np.int32)
+        np.clip(bx_raw, Q15_MIN, Q15_MAX, out=bx, casting="unsafe")
+        block_stats.scan_sat_events += int(np.count_nonzero(bx != bx_raw))
+        h = q15_scan_core(abar, bx, stats=block_stats)
+        return np.einsum("ts,tcs->tc", c_q, h), block_stats
 
-    h = np.empty(bx.shape, dtype=np.int16)
-    for ch in _row_chunks(cfg.d_inner, workers):
-        h[:, ch, :] = q15_scan_core(abar[:, ch, :], bx[:, ch, :], stats=stats)
+    blocks = [slice(c, c + SCAN_BLOCK) for c in range(0, cfg.d_inner, SCAN_BLOCK)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(scan_block, blocks))
+    y_acc = np.empty(dt_u.shape, dtype=np.int64)
+    for ch, (y_block, block_stats) in zip(blocks, results):
+        y_acc[:, ch] = y_block
+        stats.scan_sat_events += block_stats.scan_sat_events
+        stats.scan_steps += block_stats.scan_steps
 
-    y_acc = np.einsum("ts,tcs->tc", c_q.astype(np.int64), h.astype(np.int64))
     if sp.d_kind == "t2":
         d_q = unpack_rows(sp.d_words, cfg.d_inner, np.arange(1))[0]
     else:
-        d_q = sp.d_q.astype(np.int64)
+        d_q = sp.d_q
     du = rhu_shift(d_q[None, :] * u_q * np.int64(sp.d_m), sp.d_k)
     return np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]),
                    -INT8_MAX, INT8_MAX)
@@ -353,9 +388,10 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
     """Full integer pipeline on one window.
 
-    Returns (logits_i32, logits_float, stats). With trace, every INT8
-    activation tensor is recorded as int8 under its quantization-point name,
-    plus 'logits_i32'.
+    workers is the number of threads over scan channel blocks (default:
+    FEMBA_THREADS, else the CPU count). Returns (logits_i32, logits_float,
+    stats). With trace, every INT8 activation tensor is recorded as int8
+    under its quantization-point name, plus 'logits_i32'.
     """
     cfg = image.cfg
     nw = worker_count(workers)
@@ -372,7 +408,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     # tokenizer: strided patch matmul, then positional add on the conv grid
     p_mat = q_in.reshape(cfg.n_channels, cfg.n_patches, cfg.patch_size)
     p_mat = p_mat.transpose(1, 0, 2).reshape(cfg.n_patches, -1)
-    feats = _matmul_layer(image, "tokenizer", p_mat, nw)
+    feats = _matmul_layer(image, "tokenizer", p_mat)
     tok_conv = rec("tok_conv", feats.reshape(cfg.n_tokens, cfg.d_model))
 
     if image.pos_kind == "t2":
@@ -390,7 +426,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
         for d in ("fwd", "bwd"):
             p = f"blocks.{i}.{d}."
             seq = tokens if d == "fwd" else tokens[::-1]
-            xz = _matmul_layer(image, p + "in_proj", seq, nw)
+            xz = _matmul_layer(image, p + "in_proj", seq)
             x_q = rec(p + "x", xz[:, :cfg.d_inner])
             gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
 
@@ -406,12 +442,12 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
             u_q = rec(p + "u", np.clip(
                 rhu_shift(su, SILU_OUT_FRAC - exp_n[p + "u"]), -INT8_MAX, INT8_MAX))
 
-            dbl = _matmul_layer(image, p + "x_proj", u_q, nw)
+            dbl = _matmul_layer(image, p + "x_proj", u_q)
             dr, ds = cfg.dt_rank, cfg.d_state
             dtr_q = rec(p + "dt_raw", dbl[:, :dr])
             b_q = rec(p + "b", dbl[:, dr:dr + ds])
             c_q = rec(p + "c", dbl[:, dr + ds:])
-            dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q, nw))
+            dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q))
 
             y_q = rec(p + "y", _scan_direction(image, i, d, u_q, b_q, c_q, dtp_q,
                                                nw, stats))
@@ -422,7 +458,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
                 rhu_shift(y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]),
                 -INT8_MAX, INT8_MAX))
 
-            out = _matmul_layer(image, p + "out_proj", gated, nw)
+            out = _matmul_layer(image, p + "out_proj", gated)
             branches[d] = rec(p + "branch", out if d == "fwd" else out[::-1])
 
         nf = exp_n[f"blocks.{i}.fwd.branch"]

@@ -351,11 +351,31 @@ def load_image(source) -> EngineImage:
     img.pool_m = int(img.pool_m[0])
     _check_requant_range("pool", 127 * cfg.n_tokens, np.array([img.pool_m]), img.pool_k)
 
-    for name in ("exp", "silu", "softplus"):
-        meta = c.array(f"luts.{name}.meta")
-        img.luts[name] = eng.Lut(name, c.array(f"luts.{name}").astype(np.int16),
-                                 int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3]))
+    for name in eng.LUT_FORMATS:
+        img.luts[name] = _read_lut(c, name)
     return img
+
+
+def _read_lut(c: ct.Container, name: str) -> eng.Lut:
+    """A scan LUT whose size, formats and domain fit both integer paths:
+    LUT_SIZE entries, the fixed-point formats they hard-code, and a domain
+    and interpolation product inside the int32 arithmetic of lut_eval."""
+    entries = c.array(f"luts.{name}").astype(np.int16)
+    meta = c.array(f"luts.{name}.meta").astype(np.int64).reshape(-1)
+    if entries.size != eng.LUT_SIZE or meta.size != 4:
+        raise ct.FormatError(f"luts.{name}: {entries.size} entries and {meta.size} meta "
+                             f"values, expected {eng.LUT_SIZE} and 4")
+    lo, in_frac, out_frac, step_shift = (int(v) for v in meta)
+    if (in_frac, out_frac) != eng.LUT_FORMATS[name]:
+        raise ct.FormatError(f"luts.{name}: formats (in {in_frac}, out {out_frac}) bits, "
+                             f"expected {eng.LUT_FORMATS[name]}")
+    if not 0 <= step_shift <= eng.LUT_MAX_STEP_SHIFT:
+        raise ct.FormatError(f"luts.{name}: step_shift {step_shift} outside "
+                             f"[0, {eng.LUT_MAX_STEP_SHIFT}]")
+    hi = lo + ((eng.LUT_SIZE - 1) << step_shift)
+    if lo < -INT32_MAX - 1 or hi > INT32_MAX:
+        raise ct.FormatError(f"luts.{name}: domain [{lo}, {hi}] leaves int32")
+    return eng.Lut(name, entries, lo, in_frac, out_frac, step_shift)
 
 
 def image_summary(c: ct.Container) -> str:

@@ -185,9 +185,9 @@ class TestCorruptImage:
                    "--calib", tiny_archive) == 0
         return ct.Container.load(out)
 
-    def infer_exit(self, tmp_path, capsys, image, archive):
+    def infer_exit(self, tmp_path, capsys, image, archive, corrupt=lambda blob: blob):
         path = tmp_path / "bad.fmbc"
-        image.save(path)
+        path.write_bytes(corrupt(image.tobytes()))
         m = write_manifest(tmp_path, model=str(path), mode="w2a8",
                            windows=archive, output=str(tmp_path / "l.fmbc"))
         code = run("infer", m)
@@ -204,6 +204,16 @@ class TestCorruptImage:
         e.data = e.data.copy()
         e.data[0] |= np.uint32(3)
         assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+    def test_short_lut_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        image_w2.add("luts.exp", ct.DT_Q15, image_w2.array("luts.exp")[:512])
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+    def test_bad_entry_name_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        def corrupt(blob):
+            assert blob[12:18] == b"config"  # the first entry name
+            return blob[:12] + b"\xff" + blob[13:]
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive, corrupt) == 2
 
 
 class TestBench:

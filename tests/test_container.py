@@ -59,6 +59,14 @@ def test_truncated_rejected():
         ct.Container.frombytes(blob[: len(blob) // 2])
 
 
+def test_bad_entry_name_rejected():
+    blob = bytearray(sample_container().tobytes())
+    assert blob[12:17] == b"a.f32"  # first name, after the header and its length
+    blob[12] = 0xFF  # never valid in UTF-8
+    with pytest.raises(ct.FormatError, match="UTF-8"):
+        ct.Container.frombytes(bytes(blob))
+
+
 def test_dims_payload_mismatch_rejected():
     c = ct.Container()
     with pytest.raises(ct.FormatError):

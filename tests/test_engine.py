@@ -77,6 +77,21 @@ class TestLuts:
         hi = eng.lut_eval(lut, lut.lo_fixed + 10_000_000_000)
         assert lo == lut.entries[0] and hi == lut.entries[-1]
 
+    def test_int32_interpolation_at_load_limits(self):
+        """The widest table load_image accepts, step_shift 15 with entries
+        swinging between -32768 and 32767 and the domain ending at
+        INT32_MAX, interpolates like the int64 reference."""
+        s = eng.LUT_MAX_STEP_SHIFT
+        entries = np.where(np.arange(eng.LUT_SIZE) % 2 == 0, -32768, 32767).astype(np.int16)
+        lo = im.INT32_MAX - ((eng.LUT_SIZE - 1) << s)
+        lut = eng.Lut("silu", entries, lo, eng.ACT_FRAC, eng.SILU_OUT_FRAC, s)
+        xs = np.concatenate([
+            lo + np.arange(-3, 5 << s),
+            im.INT32_MAX - np.arange(5 << s),
+            np.random.default_rng(0).integers(lo, im.INT32_MAX, 10_000),
+            [-(2**40), 2**40, im.INT32_MAX]])
+        np.testing.assert_array_equal(eng.lut_eval(lut, xs), ref._interp(lut, xs))
+
     def test_monotone_tables(self):
         for name in ("exp", "softplus"):
             lut = eng.build_all_luts()[name]
@@ -124,14 +139,25 @@ class TestInt8Matmul:
             got = eng.int8_matmul(act, w, bias, m, k)
             np.testing.assert_array_equal(got, naive_int8_matmul(act, w, bias, m, k))
 
-    def test_blocking_invariance(self):
+    def test_float64_accumulation_exact_at_load_bound(self):
+        """At the largest d_in load_image accepts, with every activation and
+        weight at +-127 and some weights at -128, the float64 accumulator
+        equals a naive int64 matmul to the unit: the bias cancels the exact
+        sum and leaves small offsets that pass the identity requantizer."""
+        d_in = im.INT32_MAX // (127 * 127)
         rng = np.random.default_rng(1)
-        act = rng.integers(-127, 128, size=(4, 16))
-        w = rng.integers(-127, 128, size=(9, 16)).astype(np.int8)
-        m = rng.integers(1, 32768, size=9)
-        outs = [eng.int8_matmul(act, w, None, m, 12, workers=n) for n in (1, 2, 3, 8)]
-        for o in outs[1:]:
-            np.testing.assert_array_equal(o, outs[0])
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        act[0] = 127
+        w = (127 * rng.choice([-1, 1], size=(4, d_in))).astype(np.int8)
+        w[0] = 127  # row 0 against act row 0: the largest sum, d_in * 127^2
+        w[1, rng.choice(d_in, size=d_in // 3, replace=False)] = -128
+        w[2] = -128
+        exact = act.astype(np.int64) @ w.astype(np.int64).T
+        assert exact[0, 0] == d_in * 127 * 127
+        offsets = np.arange(-2, 2)
+        for t in range(act.shape[0]):
+            got = eng.int8_matmul(act[t:t + 1], w, offsets - exact[t], np.ones(4), 0)
+            np.testing.assert_array_equal(got[0], offsets)
 
     def test_pow2_requant_equals_shift(self):
         rng = np.random.default_rng(2)
@@ -156,6 +182,22 @@ class TestTernaryMatmul:
             got = eng.ternary_matmul(act, packed.words, (d_out, d_in), bias, m, 10)
             want = eng.int8_matmul(act, q, bias, m, 10)
             np.testing.assert_array_equal(got, want)
+
+    def test_float64_accumulation_exact_at_load_bound(self):
+        d_in = im.INT32_MAX // (127 * 127)
+        rng = np.random.default_rng(2)
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        q = rng.integers(-1, 2, size=(3, d_in)).astype(np.int8)
+        q[0] = np.sign(act[0])  # every product +127: the largest sum
+        q[1] = -1
+        packed = qz.pack_ternary(q)
+        exact = act.astype(np.int64) @ q.astype(np.int64).T
+        assert exact[0, 0] == d_in * 127
+        offsets = np.arange(-1, 2)
+        for t in range(act.shape[0]):
+            got = eng.ternary_matmul(act[t:t + 1], packed.words, q.shape,
+                                     offsets - exact[t], np.ones(3), 0)
+            np.testing.assert_array_equal(got[0], offsets)
 
     def test_all_zero_weights_bias_only(self):
         packed = qz.pack_ternary(np.zeros((2, 16), dtype=np.int8))
@@ -211,13 +253,19 @@ class TestDepthwiseConv:
         np.testing.assert_array_equal(out, want)
 
 
+def scan_inputs(x, bbar):
+    """Q15 scan input bx = q15_mul(bbar, x) of inputs x (T, C) and (C, S)
+    input coefficients."""
+    return eng.q15_mul(bbar, np.asarray(x)[:, :, None])
+
+
 class TestQ15Scan:
     def test_memoryless(self):
         rng = np.random.default_rng(6)
         x = rng.integers(-32768, 32767, size=(20, 3))
         abar = np.zeros((3, 1), dtype=np.int64)
         bbar = np.full((3, 1), 32767, dtype=np.int64)
-        h = eng.q15_selective_scan(x, abar, bbar)
+        h = eng.q15_scan_core(abar, scan_inputs(x, bbar))
         assert np.abs(h[:, :, 0] - x).max() <= 1
 
     def test_geometric_convergence_vs_exact_rationals(self):
@@ -225,7 +273,7 @@ class TestQ15Scan:
         x = np.full((t_len, 1), 16384, dtype=np.int64)  # 0.5
         abar = np.full((1, 1), 16384, dtype=np.int64)
         bbar = np.full((1, 1), 16384, dtype=np.int64)
-        h = eng.q15_selective_scan(x, abar, bbar)[:, 0, 0]
+        h = eng.q15_scan_core(abar, scan_inputs(x, bbar))[:, 0, 0]
         # exact-rational simulation of the ideal recurrence
         ideal = Fraction(0)
         half = Fraction(1, 2)
@@ -239,17 +287,21 @@ class TestQ15Scan:
         rng = np.random.default_rng(7)
         x = rng.integers(-32768, 32768, size=(16, 24))
         abar = rng.integers(0, 32768, size=(24, 4))
-        bbar = rng.integers(-16384, 16384, size=(24, 4))
-        h1 = eng.q15_selective_scan(x, abar, bbar, workers=1)
-        h8 = eng.q15_selective_scan(x, abar, bbar, workers=8)
+        bx = scan_inputs(x, rng.integers(-16384, 16384, size=(24, 4)))
+        whole = eng.EngineStats()
+        h1 = eng.q15_scan_core(abar, bx, stats=whole)
+        parts = eng.EngineStats()
+        h8 = np.concatenate([eng.q15_scan_core(abar[ch], bx[:, ch], stats=parts)
+                             for ch in np.array_split(np.arange(24), 8)], axis=1)
         np.testing.assert_array_equal(h1, h8)
+        assert parts == whole
 
     def test_saturation_counted(self):
         x = np.full((50, 1), 32767, dtype=np.int64)
         abar = np.full((1, 1), 32767, dtype=np.int64)
         bbar = np.full((1, 1), 32767, dtype=np.int64)
         stats = eng.EngineStats()
-        eng.q15_selective_scan(x, abar, bbar, stats=stats)
+        eng.q15_scan_core(abar, scan_inputs(x, bbar), stats=stats)
         assert stats.scan_sat_events > 0
         assert stats.scan_steps == 50
 
@@ -258,9 +310,32 @@ class TestQ15Scan:
         abar = np.zeros((2, 2), dtype=np.int64)
         bbar = np.full((2, 2), 32767, dtype=np.int64)
         c = np.array([16384, 16384], dtype=np.int64)  # 0.5 + 0.5 over states
-        y = eng.q15_selective_scan(x, abar, bbar, c_q=c)
+        h = eng.q15_scan_core(abar, scan_inputs(x, bbar))
+        y = np.clip(eng.q15_mul(c, h).sum(axis=2), eng.Q15_MIN, eng.Q15_MAX)
         # h ~= x per state; y = 0.5*h + 0.5*h ~= x
         assert np.abs(y - 8192).max() <= 4
+
+    @pytest.mark.parametrize("bx_sign", [1, -1])
+    def test_int32_core_matches_int64_recurrence_at_extremes(self, bx_sign):
+        """abar = 32767, h = -32768 and bx = +-32767 stress the int32 bounds;
+        the states and saturation counts equal a plain int64 recurrence."""
+        t_len = 12
+        abar = np.full((t_len, 2, 3), 32767, dtype=np.int64)
+        abar[:, 1] = -32768
+        bx = np.full((t_len, 2, 3), bx_sign * 32767, dtype=np.int64)
+        bx[0] = -32768  # h_1 = -32768 for every channel
+        bx[1::3] = -bx_sign * 32767
+        stats = eng.EngineStats()
+        got = eng.q15_scan_core(abar, bx, stats=stats)
+        h = np.zeros((2, 3), dtype=np.int64)
+        sat = 0
+        for t in range(t_len):
+            v = ((abar[t] * h + (1 << 14)) >> 15) + bx[t]
+            h = np.clip(v, -32768, 32767)
+            sat += int(np.count_nonzero(h != v))
+            np.testing.assert_array_equal(got[t], h)
+        assert sat > 0
+        assert stats == eng.EngineStats(scan_sat_events=sat, scan_steps=bx.size)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), t_len=st.integers(1, 12))
@@ -503,3 +578,35 @@ class TestLoadImageChecks:
         li_e, _, _ = eng.engine_forward(img, win)
         li_r, _ = ref.reference_int_forward(img, win)
         np.testing.assert_array_equal(li_e, li_r)
+
+    def test_lut_size_checked(self, image_w2):
+        image_w2.add("luts.exp", ct.DT_Q15, image_w2.array("luts.exp")[:512])
+        with pytest.raises(ct.FormatError, match="luts.exp"):
+            im.load_image(image_w2)
+
+    @pytest.mark.parametrize("field,value", [
+        (1, eng.EXP_IN_FRAC + 1),               # input format
+        (2, 14),                                # output format
+        (3, -1),                                # step_shift
+        (3, eng.LUT_MAX_STEP_SHIFT + 1),
+        (0, im.INT32_MAX - (eng.LUT_SIZE - 1) * 64 + 1),  # domain past INT32_MAX
+    ])
+    def test_lut_meta_checked(self, image_w2, field, value):
+        meta = image_w2.array("luts.exp.meta").copy()
+        meta[field] = value
+        image_w2.add("luts.exp.meta", ct.DT_I32, meta)
+        with pytest.raises(ct.FormatError, match="luts.exp"):
+            im.load_image(image_w2)
+
+    def test_lut_at_int32_limit_engine_equals_reference(self, tiny_cfg, image_w2):
+        meta = image_w2.array("luts.silu.meta").copy()
+        s = eng.LUT_MAX_STEP_SHIFT
+        meta[0], meta[3] = im.INT32_MAX - ((eng.LUT_SIZE - 1) << s), s
+        image_w2.add("luts.silu.meta", ct.DT_I32, meta)
+        img = im.load_image(image_w2)
+        win = make_windows(tiny_cfg, 1, seed=6)[0]
+        tr_e, tr_r = {}, {}
+        eng.engine_forward(img, win, trace=tr_e)
+        ref.reference_int_forward(img, win, trace=tr_r)
+        for tap in tr_r:
+            np.testing.assert_array_equal(tr_e[tap], tr_r[tap])
