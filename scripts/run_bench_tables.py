@@ -16,7 +16,8 @@ def main():
     args = ap.parse_args()
 
     if args.config:
-        hier, cm, _ = ss.config_from_mapping(ss.parse_config_text(open(args.config).read()))
+        with open(args.config) as f:
+            hier, cm, _ = ss.config_from_mapping(ss.parse_config_text(f.read()))
     else:
         hier, cm = ss.MemHierarchy(), ss.CostModel()
     if args.analytic_scan:

@@ -72,7 +72,8 @@ def cmd_preprocess(args) -> int:
     samples, rate = read_any_recording(args.input)
     kw = {}
     if args.config:
-        cfgmap = ss.parse_config_text(open(args.config).read())
+        with open(args.config) as f:
+            cfgmap = ss.parse_config_text(f.read())
         for field in ("bandpass_lo_hz", "bandpass_hi_hz", "notch_hz", "notch_q",
                       "target_rate_hz", "iqr_scope"):
             if field in cfgmap:
@@ -181,8 +182,8 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.config:
-        kv = ss.parse_config_text(open(args.config).read())
-        hier, cm, mode = ss.config_from_mapping(kv)
+        with open(args.config) as f:
+            hier, cm, mode = ss.config_from_mapping(ss.parse_config_text(f.read()))
     else:
         hier, cm, mode = ss.MemHierarchy(), ss.CostModel(), args.mode
     cr = ss.run_default(fm.ModelConfig(), cm, hier, mode)

@@ -1,8 +1,9 @@
 """Binary container formats: tensor containers (FMBC) and raw recordings (FEMB-SIG).
 
-All fields little-endian. The tensor container holds named, typed payloads with
-optional per-channel scale metadata and a trailing CRC32 over the payload
-region, so a write -> read -> write cycle is byte-identical.
+All fields little-endian. The tensor container holds named, typed payloads and
+a trailing CRC32 over the payload region, so a write -> read -> write cycle is
+byte-identical. Each entry keeps a scale-kind byte, always 0 (no scale block);
+the parser rejects any other value.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ _DTYPE_NP = {
     DT_I32: np.dtype("<i4"),
 }
 
-# scale-block kinds
-SCALE_NONE = 0
-SCALE_PER_CHANNEL_F32 = 1
-SCALE_POW2_EXP = 2
-
 _ALIGN = 8
 
 
@@ -49,9 +45,6 @@ class Entry:
     dtype: int
     dims: tuple[int, ...]
     data: np.ndarray  # stored dtype, flat or shaped
-    scale_kind: int = SCALE_NONE
-    scales: np.ndarray | None = None  # f32 array for per-channel, else None
-    pow2_exp: int | None = None  # for SCALE_POW2_EXP
 
     def payload_bytes(self) -> bytes:
         arr = np.ascontiguousarray(self.data, dtype=_DTYPE_NP[self.dtype])
@@ -62,8 +55,7 @@ class Entry:
 class Container:
     entries: dict[str, Entry] = field(default_factory=dict)
 
-    def add(self, name, dtype, data, dims=None, scale_kind=SCALE_NONE,
-            scales=None, pow2_exp=None):
+    def add(self, name, dtype, data, dims=None):
         data = np.asarray(data)
         if dims is None:
             dims = data.shape if data.shape else (1,)
@@ -76,10 +68,7 @@ class Container:
             if payload.size != expected:
                 raise FormatError(
                     f"entry {name!r}: payload has {payload.size} elements, dims imply {expected}")
-        e = Entry(name=name, dtype=dtype, dims=tuple(int(d) for d in dims),
-                  data=payload, scale_kind=scale_kind,
-                  scales=None if scales is None else np.asarray(scales, dtype=np.float32),
-                  pow2_exp=pow2_exp)
+        e = Entry(name=name, dtype=dtype, dims=tuple(int(d) for d in dims), data=payload)
         self.entries[name] = e
         return e
 
@@ -119,13 +108,7 @@ class Container:
             table += struct.pack("<H", len(nb)) + nb
             table += struct.pack("<BB", e.dtype, len(e.dims))
             table += struct.pack(f"<{len(e.dims)}I", *e.dims)
-            table += struct.pack("<B", e.scale_kind)
-            if e.scale_kind == SCALE_PER_CHANNEL_F32:
-                sc = np.ascontiguousarray(e.scales, dtype="<f4")
-                table += struct.pack("<I", sc.size) + sc.tobytes()
-            elif e.scale_kind == SCALE_POW2_EXP:
-                table += struct.pack("<b", int(e.pow2_exp))
-            table += struct.pack("<QQ", off, ln)
+            table += struct.pack("<BQQ", 0, off, ln)  # scale kind 0, then the payload span
 
         region = bytearray(pos)
         for p, off in zip(payloads, offsets):
@@ -163,25 +146,14 @@ class Container:
             pos += 2
             dims = struct.unpack_from(f"<{rank}I", blob, pos)
             pos += 4 * rank
-            (skind,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            scales = None
-            pow2 = None
-            if skind == SCALE_PER_CHANNEL_F32:
-                (cnt,) = struct.unpack_from("<I", blob, pos)
-                pos += 4
-                scales = np.frombuffer(blob, dtype="<f4", count=cnt, offset=pos).copy()
-                pos += 4 * cnt
-            elif skind == SCALE_POW2_EXP:
-                (pow2,) = struct.unpack_from("<b", blob, pos)
-                pos += 1
-            elif skind != SCALE_NONE:
-                raise FormatError(f"entry {name!r}: unknown scale kind {skind} (at byte {pos - 1})")
-            off, ln = struct.unpack_from("<QQ", blob, pos)
-            pos += 16
+            skind, off, ln = struct.unpack_from("<BQQ", blob, pos)
+            if skind != 0:
+                raise FormatError(f"entry {name!r}: scale kind {skind}, only 0 (none) "
+                                  f"is supported (at byte {pos})")
+            pos += 17
             if dtype not in _DTYPE_NP:
                 raise FormatError(f"entry {name!r}: unknown dtype tag {dtype}")
-            metas.append((name, dtype, dims, skind, scales, pow2, off, ln))
+            metas.append((name, dtype, dims, off, ln))
 
         region = blob[pos:len(blob) - 4]
         (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
@@ -190,7 +162,7 @@ class Container:
 
         c = cls()
         seen = []
-        for name, dtype, dims, skind, scales, pow2, off, ln in metas:
+        for name, dtype, dims, off, ln in metas:
             if off + ln > len(region):
                 raise FormatError(f"entry {name!r}: payload out of range (at byte {pos + off})")
             for o2, l2 in seen:
@@ -209,8 +181,7 @@ class Container:
                 raise FormatError(
                     f"entry {name!r}: payload {count} elements, dims imply {logical}")
             data = np.frombuffer(region, dtype=np_dt, count=count, offset=off).copy()
-            c.entries[name] = Entry(name=name, dtype=dtype, dims=tuple(dims), data=data,
-                                    scale_kind=skind, scales=scales, pow2_exp=pow2)
+            c.entries[name] = Entry(name=name, dtype=dtype, dims=tuple(dims), data=data)
         return c
 
     def save(self, path):

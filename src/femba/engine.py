@@ -234,20 +234,19 @@ def int8_matmul(act, w_q, bias, m, k: int) -> np.ndarray:
 _FIELD_SHIFTS = np.arange(0, 32, 2, dtype=np.uint32)
 
 
-def unpack_rows(words: np.ndarray, d_in: int, rows: np.ndarray) -> np.ndarray:
-    """Shift-and-mask extraction of 2-bit fields for the given weight rows,
-    mapped back to {-1, 0, +1} as int8."""
+def unpack_rows(words: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Shift-and-mask extraction of the 2-bit fields of a (rows, cols)
+    tensor, mapped back to {-1, 0, +1} as int8."""
+    d_out, d_in = shape
     fields = ((words[:, None] >> _FIELD_SHIFTS) & np.uint32(3)).astype(np.int8).ravel()
-    n_rows = fields.size // d_in
-    out = fields[:n_rows * d_in].reshape(n_rows, d_in)[rows]
+    out = fields[:d_out * d_in].reshape(d_out, d_in)
     out -= 1
     return out
 
 
 def ternary_matmul(act, words, shape, bias, m, k: int) -> np.ndarray:
     """int8_matmul with the weights unpacked from their 2-bit fields per call."""
-    d_out, d_in = shape
-    return _requantized_dot(act, unpack_rows(words, d_in, np.arange(d_out)), bias, m, k)
+    return _requantized_dot(act, unpack_rows(words, shape), bias, m, k)
 
 
 def depthwise_conv_int8(x, kernel, bias, m, k: int) -> np.ndarray:
@@ -319,10 +318,15 @@ def _quantize_input(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _matmul_layer(image, name: str, act) -> np.ndarray:
-    lay = image.layers[name]
-    if lay.kind == "t2":
-        return ternary_matmul(act, lay.words, lay.shape, lay.bias, lay.m, lay.k)
-    return int8_matmul(act, lay.q, lay.bias, lay.m, lay.k)
+    t = image.tensors[name]
+    if t.kind == "t2":
+        return ternary_matmul(act, t.words, t.shape, t.bias, t.m, t.k)
+    return int8_matmul(act, t.q, t.bias, t.m, t.k)
+
+
+def _values(t) -> np.ndarray:
+    """A tensor record's (rows, cols) values as int8."""
+    return unpack_rows(t.words, t.shape) if t.kind == "t2" else t.q
 
 
 def _align_add(q_a, n_a: int, q_b, n_b: int, n_out: int) -> np.ndarray:
@@ -340,16 +344,12 @@ def _scan_direction(image, i: int, d: str, u_q, b_q, c_q, dtpre_q,
     cfg = image.cfg
     exp_n = image.act_exp
     p = f"blocks.{i}.{d}."
-    sp = image.scan[(i, d)]
+    a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
     n_u, n_b, n_c = exp_n[p + "u"], exp_n[p + "b"], exp_n[p + "c"]
 
     dt_fix = lut_eval(image.luts["softplus"],
                       widen(dtpre_q, exp_n[p + "dt_pre"], ACT_FRAC))  # (T, C), DT_FRAC
-    if sp.a_kind == "t2":
-        a_q = unpack_rows(sp.a_words, cfg.d_state, np.arange(cfg.d_inner))
-    else:
-        a_q = sp.a_q
-    a_coef = a_q * sp.a_m[:, None]  # (C, S)
+    a_coef = _values(a_mat) * a_mat.m[:, None]  # (C, S)
     dt_u = dt_fix * u_q
     c_q = c_q.astype(np.int64)
     bx_shift = DT_FRAC + n_u + n_b - 15
@@ -357,7 +357,7 @@ def _scan_direction(image, i: int, d: str, u_q, b_q, c_q, dtpre_q,
     def scan_block(ch: slice):
         """y accumulator (T, block) and stats of one channel block."""
         block_stats = EngineStats()
-        la = rhu_shift(dt_fix[:, ch, None] * a_coef[ch], sp.a_k)
+        la = rhu_shift(dt_fix[:, ch, None] * a_coef[ch], a_mat.k)
         abar = lut_eval(image.luts["exp"], la)  # (T, block, S) Q15
         bx_raw = rhu_shift(dt_u[:, ch, None] * b_q[:, None, :], bx_shift)
         bx = np.empty(bx_raw.shape, dtype=np.int32)
@@ -375,11 +375,7 @@ def _scan_direction(image, i: int, d: str, u_q, b_q, c_q, dtpre_q,
         stats.scan_sat_events += block_stats.scan_sat_events
         stats.scan_steps += block_stats.scan_steps
 
-    if sp.d_kind == "t2":
-        d_q = unpack_rows(sp.d_words, cfg.d_inner, np.arange(1))[0]
-    else:
-        d_q = sp.d_q
-    du = rhu_shift(d_q[None, :] * u_q * np.int64(sp.d_m), sp.d_k)
+    du = rhu_shift(_values(d_skip) * u_q * d_skip.m[0], d_skip.k)
     return np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]),
                    -INT8_MAX, INT8_MAX)
 
@@ -411,11 +407,8 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     feats = _matmul_layer(image, "tokenizer", p_mat)
     tok_conv = rec("tok_conv", feats.reshape(cfg.n_tokens, cfg.d_model))
 
-    if image.pos_kind == "t2":
-        pos_q = unpack_rows(image.pos_words, cfg.d_model, np.arange(cfg.n_tokens))
-    else:
-        pos_q = image.pos_q.astype(np.int64)
-    pos_fixed = rhu_shift(pos_q * image.pos_m[:, None], image.pos_k)
+    pos = image.tensors["pos"]
+    pos_fixed = rhu_shift(_values(pos) * pos.m[:, None], pos.k)
     tokens = rec("tokens", np.clip(
         rhu_shift(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]),
         -INT8_MAX, INT8_MAX))
@@ -430,13 +423,9 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
             x_q = rec(p + "x", xz[:, :cfg.d_inner])
             gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
 
-            conv_lay = image.layers[p + "conv"]
-            if conv_lay.kind == "t2":
-                kernel = unpack_rows(conv_lay.words, cfg.d_conv, np.arange(cfg.d_inner))
-            else:
-                kernel = conv_lay.q
+            conv = image.tensors[p + "conv"]
             conv_q = rec(p + "conv", depthwise_conv_int8(
-                x_q, kernel, conv_lay.bias, conv_lay.m, conv_lay.k))
+                x_q, _values(conv), conv.bias, conv.m, conv.k))
 
             su = lut_eval(image.luts["silu"], widen(conv_q, exp_n[p + "conv"], ACT_FRAC))
             u_q = rec(p + "u", np.clip(
@@ -464,13 +453,9 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
         nf = exp_n[f"blocks.{i}.fwd.branch"]
         nb = exp_n[f"blocks.{i}.bwd.branch"]
         n_fused = exp_n[f"blocks.{i}.fused"]
-        if cfg.fusion == "mean":
-            n_hi = max(nf, nb)
-            v = (branches["fwd"] << (n_hi - nf)) + (branches["bwd"] << (n_hi - nb))
-            fused = np.clip(rhu_shift(v, n_hi - n_fused + 1), -INT8_MAX, INT8_MAX)
-        else:
-            fused = _align_add(branches["fwd"], nf, branches["bwd"], nb, n_fused)
-        rec(f"blocks.{i}.fused", fused)
+        # the mean halves the sum: one more bit of shift
+        fused = rec(f"blocks.{i}.fused", _align_add(
+            branches["fwd"], nf, branches["bwd"], nb, n_fused - (cfg.fusion == "mean")))
         tokens = rec(f"blocks.{i}.out", _align_add(
             tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
         block_in_exp = exp_n[f"blocks.{i}.out"]
@@ -479,11 +464,8 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     pooled = rec("pooled", np.clip(
         rhu_shift(pool_acc * np.int64(image.pool_m), image.pool_k), -INT8_MAX, INT8_MAX))
 
-    if image.head_kind == "t2":
-        head_w = unpack_rows(image.head_words, cfg.d_model, np.arange(cfg.n_classes))
-    else:
-        head_w = image.head_q.astype(np.int64)
-    logits_i = pooled @ head_w.T + image.head_bias
+    head = image.tensors["head"]
+    logits_i = pooled @ _values(head).T + head.bias
     if trace is not None:
         trace["logits_i32"] = logits_i.astype(np.int32)
     logits_f = logits_i.astype(np.float64) * image.head_dequant

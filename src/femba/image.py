@@ -1,16 +1,27 @@
 """Model containers: float checkpoints and quantized deployment images.
 
-The deployment image carries everything the integer paths need: INT8 or
-ternary-packed weights, INT32 biases in accumulator domain, int16
-requantization multipliers with per-tensor shifts, power-of-two activation
-exponents, and the scan lookup tables. All scale folding happens here, once,
-so the engine and the integer-semantics reference consume identical numbers.
+The deployment image carries everything the integer paths need: power-of-two
+activation exponents, the scan lookup tables, the pooling requantizer, the
+head's dequantization scales, and one record per quantized tensor
+(`QTensor`): its INT8 or ternary-packed values and, where the tensor has
+them, an int16 requantization multiplier per row with a per-tensor shift k
+and an INT32 bias per row in accumulator domain. All scale folding happens
+here, once, so the engine and the integer-semantics reference consume
+identical numbers.
+
+`load_image` checks every bound the integer paths rely on before either runs:
+the config against the entries' dims, each accumulator against INT32, each
+requantizer against int64 with |k| <= MAX_SHIFT, and each activation
+exponent against [0, quantizer.MAX_EXPONENT] = [0, 24]. Within that range
+the shifts between activation grids stay in [-24, 44] bits (negative is a
+left shift): the widest right shift is the scan input's n_u + n_b - 4, and
+no left shift of an exponent difference exceeds 24 bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +31,7 @@ from . import model as fm
 from . import quantizer as qz
 
 INT32_MAX = 2**31 - 1
+MAX_SHIFT = 62  # |k| of every requantizer, so its shifts stay inside int64
 M_BITS = 15  # requant multipliers are int16, normalized so max(m) is in [2^14, 2^15)
 
 
@@ -37,8 +49,8 @@ def fold_mk(ratios) -> tuple[np.ndarray, int]:
         return np.zeros(r.size, dtype=np.int64), 0
     _, ex = math.frexp(rmax)
     k = M_BITS - ex
-    if k > 62:  # vanishing ratios quantize to zero; keep shifts in int64 range
-        k = 62
+    if k > MAX_SHIFT:  # vanishing ratios quantize to zero
+        k = MAX_SHIFT
     m = np.rint(r * 2.0 ** k).astype(np.int64)
     if m.max() > 2**15 - 1:
         k -= 1
@@ -56,27 +68,44 @@ def _bias_to_int32(bias: np.ndarray, acc_lsb: np.ndarray) -> np.ndarray:
 
 _FUSION_IDX = {name: i for i, name in enumerate(fm.FUSION_MODES)}
 _MODE_IDX = {name: i for i, name in enumerate(qz.MODES)}
+_CONFIG_DIMS = ("d_model", "d_inner", "d_state", "d_conv", "n_blocks", "n_tokens",
+                "n_channels", "n_samples", "patch_size", "n_classes", "dt_rank")
 
 _BRANCH_FIELDS = ("in_proj", "conv_w", "conv_b", "x_proj", "dt_proj",
                   "dt_bias", "a_log", "d_skip", "out_proj")
 
 
 def _config_vec(cfg: fm.ModelConfig, mode: str) -> np.ndarray:
-    return np.array([cfg.d_model, cfg.d_inner, cfg.d_state, cfg.d_conv,
-                     cfg.n_blocks, cfg.n_tokens, cfg.n_channels, cfg.n_samples,
-                     cfg.patch_size, cfg.n_classes, cfg.dt_rank,
-                     _FUSION_IDX[cfg.fusion], _MODE_IDX[mode]], dtype=np.int32)
+    return np.array([getattr(cfg, name) for name in _CONFIG_DIMS] +
+                    [_FUSION_IDX[cfg.fusion], _MODE_IDX[mode]], dtype=np.int32)
 
 
 def _config_from_vec(vec: np.ndarray, fvec: np.ndarray) -> tuple[fm.ModelConfig, str]:
-    cfg = fm.ModelConfig(
-        d_model=int(vec[0]), d_inner=int(vec[1]), d_state=int(vec[2]),
-        d_conv=int(vec[3]), n_blocks=int(vec[4]), n_tokens=int(vec[5]),
-        n_channels=int(vec[6]), n_samples=int(vec[7]), patch_size=int(vec[8]),
-        n_classes=int(vec[9]), dt_rank=int(vec[10]),
-        fusion=fm.FUSION_MODES[int(vec[11])],
-        dt_min=float(fvec[0]), dt_max=float(fvec[1]))
-    return cfg, qz.MODES[int(vec[12])]
+    """The config and mode of a ``config``/``config_f`` pair; FormatError
+    unless every dim is positive, both indices name a fusion and a mode, and
+    0 < dt_min <= dt_max < inf (the scan's step range)."""
+    vec, fvec = np.asarray(vec).reshape(-1), np.asarray(fvec, dtype=np.float64).reshape(-1)
+    if vec.size != len(_CONFIG_DIMS) + 2 or fvec.size != 2:
+        raise ct.FormatError(f"config holds {vec.size} and config_f {fvec.size} values, "
+                             f"expected {len(_CONFIG_DIMS) + 2} and 2")
+    dims = {name: int(v) for name, v in zip(_CONFIG_DIMS, vec)}
+    fusion, mode = int(vec[-2]), int(vec[-1])
+    for name, value in dims.items():
+        if value < 1:
+            raise ct.FormatError(f"config: {name} = {value}, expected at least 1")
+    if not 0 <= fusion < len(fm.FUSION_MODES):
+        raise ct.FormatError(f"config: fusion index {fusion} names no fusion mode")
+    if not 0 <= mode < len(qz.MODES):
+        raise ct.FormatError(f"config: mode index {mode} names no mode")
+    if not (np.all(np.isfinite(fvec)) and 0 < fvec[0] <= fvec[1]):
+        raise ct.FormatError(f"config_f: dt_min, dt_max = {fvec.tolist()}, "
+                             "expected 0 < dt_min <= dt_max < inf")
+    try:
+        cfg = fm.ModelConfig(**dims, fusion=fm.FUSION_MODES[fusion],
+                             dt_min=float(fvec[0]), dt_max=float(fvec[1]))
+    except ValueError as exc:
+        raise ct.FormatError(f"config: {exc}") from exc
+    return cfg, qz.MODES[mode]
 
 
 def save_checkpoint(weights: fm.FembaWeights, cfg: fm.ModelConfig, path):
@@ -131,50 +160,34 @@ def load_checkpoint(path) -> tuple[fm.FembaWeights, fm.ModelConfig]:
 # deployment image
 
 @dataclass
-class MatmulLayer:
+class QTensor:
+    """One quantized tensor of a deployment image, of logical dims ``shape``
+    (rows, cols): INT8 values ``q`` (kind "i8") or 2-bit fields packed 16 to
+    a uint32 word in ``words`` (kind "t2"). ``m`` (int16 per row) and ``k``
+    requantize the tensor's products and ``bias`` is its INT32 bias per row;
+    each is set only where the tensor has one."""
     kind: str  # "i8" | "t2"
     shape: tuple[int, int]
-    m: np.ndarray
-    k: int
-    bias: np.ndarray | None
     q: np.ndarray | None = None
     words: np.ndarray | None = None
-
-
-@dataclass
-class ScanParams:
-    a_kind: str
-    a_m: np.ndarray
-    a_k: int
-    d_kind: str
-    d_m: int
-    d_k: int
-    a_q: np.ndarray | None = None
-    a_words: np.ndarray | None = None
-    d_q: np.ndarray | None = None
-    d_words: np.ndarray | None = None
+    m: np.ndarray | None = None
+    k: int = 0
+    bias: np.ndarray | None = None
 
 
 @dataclass
 class EngineImage:
+    """A loaded deployment image. ``tensors`` maps every layer of
+    ``quantizer.layer_catalog``, ``pos`` and each branch's ``a_mat`` and
+    ``d_skip`` to its record."""
     cfg: fm.ModelConfig
     mode: str
     act_exp: dict[str, int]
-    layers: dict[str, MatmulLayer] = field(default_factory=dict)
-    scan: dict[tuple[int, str], ScanParams] = field(default_factory=dict)
-    pos_kind: str = "i8"
-    pos_q: np.ndarray | None = None
-    pos_words: np.ndarray | None = None
-    pos_m: np.ndarray | None = None
-    pos_k: int = 0
-    pool_m: int = 0
-    pool_k: int = 0
-    head_kind: str = "i8"
-    head_q: np.ndarray | None = None
-    head_words: np.ndarray | None = None
-    head_bias: np.ndarray | None = None
-    head_dequant: np.ndarray | None = None
-    luts: dict[str, eng.Lut] = field(default_factory=dict)
+    tensors: dict[str, QTensor]
+    pool_m: int
+    pool_k: int
+    head_dequant: np.ndarray
+    luts: dict[str, eng.Lut]
 
 
 def _add_weight(c: ct.Container, name: str, qt: qz.QuantizedTensor):
@@ -253,13 +266,41 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     return c
 
 
-def _read_weight(c: ct.Container, name: str):
+def _tensor_shapes(cfg: fm.ModelConfig):
+    """(name, dims) of every quantized tensor an image of ``cfg`` holds."""
+    dm, di, ds, dr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.dt_rank
+    yield "tokenizer", (cfg.n_groups * dm, cfg.n_channels * cfg.patch_size)
+    yield "pos", (cfg.n_tokens, dm)
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            yield from ((p + "in_proj", (2 * di, dm)), (p + "conv", (di, cfg.d_conv)),
+                        (p + "x_proj", (dr + 2 * ds, di)), (p + "dt_proj", (di, dr)),
+                        (p + "out_proj", (dm, di)), (p + "a_mat", (di, ds)),
+                        (p + "d_skip", (1, di)))
+    yield "head", (cfg.n_classes, dm)
+
+
+def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:
+    """Entry ``name`` as a flat array, checked to hold ``size`` values of
+    container dtype ``dtype``."""
+    e = c.get(name)
+    if e.dtype != dtype or e.data.size != size:
+        raise ct.FormatError(f"entry {name!r}: {e.data.size} values of dtype {e.dtype}, "
+                             f"expected {size} of dtype {dtype}")
+    return e.data.reshape(-1)
+
+
+def _read_tensor(c: ct.Container, name: str, shape: tuple[int, int]) -> QTensor:
     e = c.get(name + ".q")
+    if e.dims != shape or e.dtype not in (ct.DT_I8, ct.DT_T2):
+        raise ct.FormatError(f"entry {name + '.q'!r}: dtype {e.dtype} and dims {e.dims}, "
+                             f"expected i8 or t2 of the config's dims {shape}")
     if e.dtype == ct.DT_T2:
         words = e.data.astype(np.uint32)
-        _check_ternary(name + ".q", words, int(np.prod(e.dims)))
-        return "t2", None, words, tuple(e.dims)
-    return "i8", c.array(name + ".q").astype(np.int8), None, tuple(e.dims)
+        _check_ternary(name + ".q", words, shape[0] * shape[1])
+        return QTensor("t2", shape, words=words)
+    return QTensor("i8", shape, q=e.data.reshape(shape).astype(np.int8))
 
 
 def _check_ternary(name: str, words: np.ndarray, count: int):
@@ -271,16 +312,20 @@ def _check_ternary(name: str, words: np.ndarray, count: int):
         raise ct.FormatError(f"entry {name!r}: invalid 2-bit field value 3")
 
 
-def _read_mk(c: ct.Container, name: str):
-    return (c.array(name + ".m").astype(np.int64),
-            int(c.array(name + ".k")[0]))
+def _read_mk(c: ct.Container, name: str, rows: int):
+    return (_vector(c, name + ".m", ct.DT_Q15, rows).astype(np.int64),
+            int(_vector(c, name + ".k", ct.DT_I8, 1)[0]))
 
 
 def _check_requant_range(name: str, acc_bound: int, m: np.ndarray, k: int):
-    """Requantization must stay inside int64: |acc| * m, left-shifted when k
-    is negative, may never reach 2^62."""
+    """Requantization must stay inside int64: the shift k lies in
+    [-MAX_SHIFT, MAX_SHIFT], and |acc| * m, left-shifted when k is negative,
+    may never reach 2^62."""
+    if not -MAX_SHIFT <= k <= MAX_SHIFT:
+        raise eng.EngineConfigError(
+            f"{name}: requantizer shift {k} outside [-{MAX_SHIFT}, {MAX_SHIFT}]")
     m_max = int(np.abs(np.asarray(m)).max(initial=0))
-    worst = acc_bound * m_max * 2 ** max(0, -int(k))
+    worst = acc_bound * m_max * 2 ** max(0, -k)
     if worst >= 2**62:
         raise eng.EngineConfigError(
             f"{name}: requantizer range {worst:.3g} exceeds the int64 budget")
@@ -289,71 +334,55 @@ def _check_requant_range(name: str, acc_bound: int, m: np.ndarray, k: int):
 def load_image(source) -> EngineImage:
     """Parse and validate a deployment image container.
 
-    Raises EngineConfigError when a layer could overflow its INT32
-    accumulator, any requantizer could leave int64 range, or the container
-    is not an integer-mode image.
+    Raises FormatError when the config, an entry's dims or dtype, an
+    activation exponent or a lookup table does not fit the integer paths,
+    and EngineConfigError when a layer could overflow its INT32 accumulator,
+    any requantizer could leave int64 range, or the container is not an
+    integer-mode image with sum or mean fusion.
     """
     c = source if isinstance(source, ct.Container) else ct.Container.load(source)
     cfg, mode = _config_from_vec(c.array("config"), c.array("config_f"))
     if mode == "fp32":
         raise eng.EngineConfigError("container is a float checkpoint, not a deployment image")
+    if cfg.fusion == "concat_project":
+        raise eng.EngineConfigError("integer paths support sum/mean fusion only")
+    luts = {name: _read_lut(c, name) for name in eng.LUT_FORMATS}
+
+    # inputs of the requantizers without a bias; a scan step is at most the
+    # largest entry of the softplus table
+    dt_peak = int(np.abs(luts["softplus"].entries.astype(np.int64)).max())
+    input_bound = {"pos": 127, "a_mat": dt_peak * 127, "d_skip": 127 * 127}
+    tensors = {}
+    # every dim is checked against the entries here, before quant_points
+    # walks (and allocates) the config's graph
+    for name, shape in _tensor_shapes(cfg):
+        t = tensors[name] = _read_tensor(c, name, shape)
+        bound = input_bound.get(name.rsplit(".", 1)[-1])
+        if bound is None:
+            t.bias = _vector(c, name + ".bias", ct.DT_I32, shape[0]).astype(np.int64)
+            bound = shape[1] * 127 * 127 + int(np.abs(t.bias).max(initial=0))
+            if bound > INT32_MAX:
+                raise eng.EngineConfigError(
+                    f"{name}: INT32 accumulator bound exceeded ({bound})")
+        if name != "head":
+            t.m, t.k = _read_mk(c, name, shape[0])
+            _check_requant_range(name, bound, t.m, t.k)
+    pool_m, pool_k = _read_mk(c, "pool", 1)
+    _check_requant_range("pool", 127 * cfg.n_tokens, pool_m, pool_k)
+
     taps = fm.quant_points(cfg)
     exps = c.array("act_exponents").astype(int)
     if exps.size != len(taps):
         raise ct.FormatError(
             f"act_exponents holds {exps.size} exponents, the config has {len(taps)} taps")
-    img = EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps)))
-
-    for layer in qz.layer_catalog(cfg):
-        name = layer["name"]
-        kind, q, words, shape = _read_weight(c, name)
-        if name == "head":
-            img.head_kind, img.head_q, img.head_words = kind, q, words
-            img.head_bias = c.array("head.bias").astype(np.int64)
-            img.head_dequant = c.array("head.dequant").astype(np.float64)
-            head_bound = shape[1] * 127 * 127 + int(np.abs(img.head_bias).max(initial=0))
-            if head_bound > INT32_MAX:
-                raise eng.EngineConfigError(
-                    f"head: INT32 logit bound exceeded ({head_bound})")
-            continue
-        m, k = _read_mk(c, name)
-        bias = c.array(name + ".bias").astype(np.int64)
-        d_in = shape[1]
-        bound = d_in * 127 * 127 + int(np.abs(bias).max(initial=0))
-        if bound > INT32_MAX:
-            raise eng.EngineConfigError(
-                f"layer {name}: INT32 accumulator bound exceeded ({bound})")
-        _check_requant_range(name, bound, m, k)
-        img.layers[name] = MatmulLayer(kind=kind, shape=shape, m=m, k=k,
-                                       bias=bias, q=q, words=words)
-
-    img.pos_kind, img.pos_q, img.pos_words, _ = _read_weight(c, "pos")
-    img.pos_m, img.pos_k = _read_mk(c, "pos")
-    _check_requant_range("pos", 127, img.pos_m, img.pos_k)
-
-    dt_peak = (1 << eng.DT_FRAC) * int(np.ceil(cfg.dt_max))
-    for i in range(cfg.n_blocks):
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            a_kind, a_q, a_words, _ = _read_weight(c, p + "a_mat")
-            a_m, a_k = _read_mk(c, p + "a_mat")
-            _check_requant_range(p + "a_mat", dt_peak * 127, a_m, a_k)
-            d_kind, d_q, d_words, _ = _read_weight(c, p + "d_skip")
-            d_m, d_k = _read_mk(c, p + "d_skip")
-            _check_requant_range(p + "d_skip", 127 * 127, d_m, d_k)
-            img.scan[(i, d)] = ScanParams(
-                a_kind=a_kind, a_q=None if a_q is None else a_q.reshape(cfg.d_inner, cfg.d_state),
-                a_words=a_words, a_m=a_m, a_k=a_k,
-                d_kind=d_kind, d_q=None if d_q is None else d_q.reshape(-1),
-                d_words=d_words, d_m=int(d_m[0]), d_k=d_k)
-
-    img.pool_m, img.pool_k = _read_mk(c, "pool")
-    img.pool_m = int(img.pool_m[0])
-    _check_requant_range("pool", 127 * cfg.n_tokens, np.array([img.pool_m]), img.pool_k)
-
-    for name in eng.LUT_FORMATS:
-        img.luts[name] = _read_lut(c, name)
-    return img
+    if np.any((exps < 0) | (exps > qz.MAX_EXPONENT)):
+        raise ct.FormatError(f"act_exponents: values outside [0, {qz.MAX_EXPONENT}]")
+    head_dequant = _vector(c, "head.dequant", ct.DT_F32, cfg.n_classes).astype(np.float64)
+    if not np.all(np.isfinite(head_dequant)):
+        raise ct.FormatError("head.dequant: scales are not finite")
+    return EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps)), tensors=tensors,
+                       pool_m=int(pool_m[0]), pool_k=pool_k, head_dequant=head_dequant,
+                       luts=luts)
 
 
 def _read_lut(c: ct.Container, name: str) -> eng.Lut:

@@ -20,7 +20,7 @@ import numpy as np
 from . import model as fm
 
 MODES = ("fp32", "w8a8", "w4a8", "w2a8", "fakequant")
-DEFAULT_MAX_EXPONENT = 24
+MAX_EXPONENT = 24  # finest activation grid 2^-24; image.load_image holds images to it
 DEFAULT_CLIP_PCT = 99.9
 
 
@@ -161,11 +161,11 @@ class CalibStats:
         self.p_clip = max(self.p_clip, float(np.percentile(np.abs(a), self.clip_pct)))
 
 
-def choose_pow2_scale(stats: CalibStats | float, bits: int = 8, signed: bool = True,
-                      max_exponent: int = DEFAULT_MAX_EXPONENT) -> Pow2ActQuant:
-    """Largest exponent n >= 0 such that qmax * 2^-n still covers the clipping
-    point, i.e. the finest power-of-two grid that does not clip below it.
-    Degenerate all-zero statistics take the maximum exponent."""
+def choose_pow2_scale(stats: CalibStats | float, bits: int = 8,
+                      signed: bool = True) -> Pow2ActQuant:
+    """Largest exponent n in [0, MAX_EXPONENT] such that qmax * 2^-n still
+    covers the clipping point, i.e. the finest power-of-two grid that does
+    not clip below it. Degenerate all-zero statistics take MAX_EXPONENT."""
     if isinstance(stats, CalibStats):
         if stats.count == 0:
             raise CalibrationError("empty calibration statistics")
@@ -174,13 +174,13 @@ def choose_pow2_scale(stats: CalibStats | float, bits: int = 8, signed: bool = T
         p = float(stats)
     qmax = (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
     if p <= 0.0:
-        return Pow2ActQuant(max_exponent, bits, signed)
+        return Pow2ActQuant(MAX_EXPONENT, bits, signed)
     n = int(math.floor(math.log2(qmax / p))) if qmax > p else 0
     while qmax * 2.0 ** (-(n + 1)) >= p:
         n += 1
     while n > 0 and qmax * 2.0 ** (-n) < p:
         n -= 1
-    return Pow2ActQuant(max(0, min(n, max_exponent)), bits, signed)
+    return Pow2ActQuant(max(0, min(n, MAX_EXPONENT)), bits, signed)
 
 
 def quantize_activation(a: np.ndarray, n: int, bits: int = 8) -> np.ndarray:
@@ -242,8 +242,7 @@ class QuantArtifacts:
 
 
 def calibrate(weights: fm.FembaWeights, cfg: fm.ModelConfig, windows,
-              clip_pct: float = DEFAULT_CLIP_PCT,
-              max_exponent: int = DEFAULT_MAX_EXPONENT) -> dict[str, Pow2ActQuant]:
+              clip_pct: float = DEFAULT_CLIP_PCT) -> dict[str, Pow2ActQuant]:
     """Float forward over the calibration windows, recording statistics at
     every quantization point, then power-of-two scale selection per tap."""
     windows = list(windows)
@@ -255,12 +254,11 @@ def calibrate(weights: fm.FembaWeights, cfg: fm.ModelConfig, windows,
         _, trace = fm.forward_with_trace(w, weights, cfg)
         for t in taps:
             stats[t].add(trace[t])
-    return {t: choose_pow2_scale(stats[t], 8, True, max_exponent) for t in taps}
+    return {t: choose_pow2_scale(stats[t]) for t in taps}
 
 
 def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
                    calib_windows=None, clip_pct: float = DEFAULT_CLIP_PCT,
-                   max_exponent: int = DEFAULT_MAX_EXPONENT,
                    precision_overrides: dict[str, int] | None = None,
                    run_bias_correct: bool = False) -> QuantArtifacts:
     if mode not in MODES:
@@ -276,7 +274,7 @@ def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
     art.biases = bias_arrays(weights, cfg)
     if calib_windows is None:
         raise CalibrationError(f"mode {mode!r} requires calibration windows")
-    art.act = calibrate(weights, cfg, calib_windows, clip_pct, max_exponent)
+    art.act = calibrate(weights, cfg, calib_windows, clip_pct)
     if run_bias_correct:
         bias_correct(weights, cfg, art, calib_windows)
     return art

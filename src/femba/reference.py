@@ -33,25 +33,18 @@ def _clip8(v):
     return np.clip(v, -127, 127)
 
 
-def _dense(layer: im.MatmulLayer) -> np.ndarray:
-    if layer.kind == "t2":
-        packed = qz.TernaryPacked(layer.words, int(np.prod(layer.shape)),
-                                  layer.shape, np.ones(layer.shape[0]))
+def _dense(t: im.QTensor) -> np.ndarray:
+    if t.kind == "t2":
+        packed = qz.TernaryPacked(t.words, t.shape[0] * t.shape[1], t.shape,
+                                  np.ones(t.shape[0]))
         return qz.unpack_ternary(packed).astype(np.int64)
-    return layer.q.astype(np.int64)
-
-
-def _vec(kind, q, words, shape) -> np.ndarray:
-    if kind == "t2":
-        packed = qz.TernaryPacked(words, int(np.prod(shape)), shape, np.ones(1))
-        return qz.unpack_ternary(packed).astype(np.int64).reshape(shape)
-    return q.astype(np.int64).reshape(shape)
+    return t.q.astype(np.int64)
 
 
 def _linear(image, name, act_q):
-    lay = image.layers[name]
-    acc = np.asarray(act_q, dtype=np.int64) @ _dense(lay).T + lay.bias
-    return _clip8(_round_shift(acc * lay.m, lay.k))
+    t = image.tensors[name]
+    acc = np.asarray(act_q, dtype=np.int64) @ _dense(t).T + t.bias
+    return _clip8(_round_shift(acc * t.m, t.k))
 
 
 def _interp(lut, x_fixed):
@@ -86,9 +79,8 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
     tok_conv = rec("tok_conv",
                    _linear(image, "tokenizer", patches).reshape(cfg.n_tokens, cfg.d_model))
 
-    pos = _vec(image.pos_kind, image.pos_q, image.pos_words,
-               (cfg.n_tokens, cfg.d_model))
-    pos_fx = _round_shift(pos * image.pos_m[:, None], image.pos_k)
+    pos = image.tensors["pos"]
+    pos_fx = _round_shift(_dense(pos) * pos.m[:, None], pos.k)
     tokens = rec("tokens", _clip8(_to_frac(tok_conv + pos_fx,
                                            n["tok_conv"], n["tokens"])))
 
@@ -102,12 +94,12 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
             xq = rec(p + "x", xz[:, :cfg.d_inner])
             gq = rec(p + "gate", xz[:, cfg.d_inner:])
 
-            lay = image.layers[p + "conv"]
-            kern = _dense(lay)
+            conv = image.tensors[p + "conv"]
+            kern = _dense(conv)
             t_len = xq.shape[0]
             pad = np.concatenate([np.zeros((cfg.d_conv - 1, cfg.d_inner), np.int64), xq])
-            acc = sum(pad[j:j + t_len] * kern[:, j] for j in range(cfg.d_conv)) + lay.bias
-            cq = rec(p + "conv", _clip8(_round_shift(acc * lay.m, lay.k)))
+            acc = sum(pad[j:j + t_len] * kern[:, j] for j in range(cfg.d_conv)) + conv.bias
+            cq = rec(p + "conv", _clip8(_round_shift(acc * conv.m, conv.k)))
 
             su = _interp(image.luts["silu"], _to_frac(cq, n[p + "conv"], 15))
             uq = rec(p + "u", _clip8(_to_frac(su, 12, n[p + "u"])))
@@ -119,11 +111,10 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
             cq2 = rec(p + "c", dbl[:, dr + ds:])
             dtp = rec(p + "dt_pre", _linear(image, p + "dt_proj", dtr))
 
-            sp = image.scan[(i, d)]
+            a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
             dt_fix = _interp(image.luts["softplus"], _to_frac(dtp, n[p + "dt_pre"], 15))
-            a_q = _vec(sp.a_kind, sp.a_q, sp.a_words, (cfg.d_inner, cfg.d_state))
-            la = _round_shift(dt_fix[:, :, None] * a_q[None] * sp.a_m[None, :, None],
-                              sp.a_k)
+            la = _round_shift(dt_fix[:, :, None] * _dense(a_mat)[None]
+                              * a_mat.m[None, :, None], a_mat.k)
             abar = _interp(image.luts["exp"], la)
             bx = np.clip(_round_shift((dt_fix * uq)[:, :, None] * bq[:, None, :],
                                       11 + n[p + "u"] + n[p + "b"] - 15),
@@ -134,8 +125,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
                 h = np.clip(_round_shift(abar[t] * h, 15) + bx[t], _Q15_LO, _Q15_HI)
                 hs[t] = h
             y_acc = (cq2[:, None, :] * hs).sum(axis=2)
-            d_q = _vec(sp.d_kind, sp.d_q, sp.d_words, (cfg.d_inner,))
-            du = _round_shift(d_q[None, :] * uq * sp.d_m, sp.d_k)
+            du = _round_shift(_dense(d_skip) * uq * d_skip.m[0], d_skip.k)
             yq = rec(p + "y", _clip8(_round_shift(y_acc + du,
                                                   n[p + "c"] + 15 - n[p + "y"])))
 
@@ -159,11 +149,8 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
 
     pooled = rec("pooled", _clip8(_round_shift(tokens.sum(axis=0) * image.pool_m,
                                                image.pool_k)))
-    if image.head_kind == "t2":
-        hw = _vec("t2", None, image.head_words, (cfg.n_classes, cfg.d_model))
-    else:
-        hw = image.head_q.astype(np.int64)
-    logits_i = pooled @ hw.T + image.head_bias
+    head = image.tensors["head"]
+    logits_i = pooled @ _dense(head).T + head.bias
     if trace is not None:
         trace["logits_i32"] = logits_i.astype(np.int32)
     return logits_i, logits_i.astype(np.float64) * image.head_dequant
@@ -179,21 +166,19 @@ def _aligned_weights(image: im.EngineImage):
     ws, bs = {}, {}
     for layer in qz.layer_catalog(cfg):
         name = layer["name"]
+        t = image.tensors[name]
         if name == "head":
-            hq = _vec(image.head_kind, image.head_q, image.head_words,
-                      (cfg.n_classes, cfg.d_model)).astype(np.float64)
             s_head = image.head_dequant * 2.0 ** n["pooled"]
-            ws[name] = hq * s_head[:, None]
-            bs[name] = image.head_bias.astype(np.float64) * image.head_dequant
+            ws[name] = _dense(t).astype(np.float64) * s_head[:, None]
+            bs[name] = t.bias.astype(np.float64) * image.head_dequant
             continue
-        lay = image.layers[name]
         n_in = n[layer["in_tap"]]
         n_out = np.concatenate([np.full(rows, n[tap], dtype=np.float64)
                                 for tap, rows in layer["out_taps"]])
-        r = lay.m.astype(np.float64) * 2.0 ** (-lay.k)
+        r = t.m.astype(np.float64) * 2.0 ** (-t.k)
         s_w = r * 2.0 ** (n_in - n_out)
-        ws[name] = _dense(lay).astype(np.float64) * s_w[:, None]
-        bs[name] = lay.bias.astype(np.float64) * (2.0 ** (-n_in) * s_w)
+        ws[name] = _dense(t).astype(np.float64) * s_w[:, None]
+        bs[name] = t.bias.astype(np.float64) * (2.0 ** (-n_in) * s_w)
     return ws, bs
 
 
@@ -205,24 +190,21 @@ class _ImageOps:
         cfg, n = image.cfg, image.act_exp
         self.image, self.cfg, self.n = image, cfg, n
         self.ws, self.bs = _aligned_weights(image)
-        pos_q = _vec(image.pos_kind, image.pos_q, image.pos_words,
-                     (cfg.n_tokens, cfg.d_model)).astype(np.float64)
-        s_pos = image.pos_m.astype(np.float64) * 2.0 ** (-image.pos_k - n["tok_conv"])
-        self.pos = pos_q * s_pos[:, None]
+        pos = image.tensors["pos"]
+        s_pos = pos.m.astype(np.float64) * 2.0 ** (-pos.k - n["tok_conv"])
+        self.pos = _dense(pos).astype(np.float64) * s_pos[:, None]
 
     def weight(self, name: str):
         return self.ws[name], self.bs[name]
 
     def scan(self, i: int, d: str):
-        cfg, n, sp = self.cfg, self.n, self.image.scan[(i, d)]
-        p = f"blocks.{i}.{d}."
-        a_q = _vec(sp.a_kind, sp.a_q, sp.a_words, (cfg.d_inner, cfg.d_state))
-        s_a = sp.a_m.astype(np.float64) * 2.0 ** (-sp.a_k - 1)
-        a = a_q.astype(np.float64) * s_a[:, None]
-        d_q = _vec(sp.d_kind, sp.d_q, sp.d_words, (cfg.d_inner,))
-        s_d = sp.d_m * 2.0 ** (-sp.d_k) * 2.0 ** (n[p + "u"] - n[p + "c"] - 15)
+        n, p = self.n, f"blocks.{i}.{d}."
+        a_mat, d_skip = self.image.tensors[p + "a_mat"], self.image.tensors[p + "d_skip"]
+        s_a = a_mat.m.astype(np.float64) * 2.0 ** (-a_mat.k - 1)
+        a = _dense(a_mat).astype(np.float64) * s_a[:, None]
+        s_d = int(d_skip.m[0]) * 2.0 ** (-d_skip.k) * 2.0 ** (n[p + "u"] - n[p + "c"] - 15)
         # match the LUT path, which clamps exp(delta*a) at 1 for a >= 0
-        return np.minimum(a, 0.0), d_q.astype(np.float64) * s_d
+        return np.minimum(a, 0.0), _dense(d_skip)[0].astype(np.float64) * s_d
 
     def fuse(self, i: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
         return fm.fuse_branches(f, b, self.cfg)

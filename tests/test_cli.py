@@ -81,6 +81,28 @@ class TestPreprocess:
         assert cli.load_windows(out).shape == (1, 22, 1280)
 
 
+_UNCLOSED_FILE_FAILS = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+class TestConfigFileClosed:
+    """An unclosed --config file raises ResourceWarning, an error here."""
+
+    @_UNCLOSED_FILE_FAILS
+    def test_preprocess(self, tmp_path):
+        rec = tmp_path / "rec.sig"
+        ct.write_recording(rec, np.random.default_rng(2).normal(0, 10, (22, 1280)), 256.0)
+        cfgf = tmp_path / "pp.cfg"
+        cfgf.write_text("notch_hz = 50.0\n")
+        assert run("preprocess", rec, tmp_path / "w.fmbc", "--config", cfgf) == 0
+
+    @_UNCLOSED_FILE_FAILS
+    def test_bench(self, tmp_path):
+        cfgf = tmp_path / "bench.cfg"
+        cfgf.write_text("l2_bandwidth_bytes_per_cycle = 1.0\n")
+        assert run("bench", "--config", cfgf, "--out", tmp_path / "r.txt") == 0
+
+
 class TestQuantize:
     def test_fp32_byte_preserving_repack(self, tmp_path, tiny_checkpoint):
         out = tmp_path / "repack.fmbc"
@@ -208,6 +230,28 @@ class TestCorruptImage:
     def test_short_lut_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
         image_w2.add("luts.exp", ct.DT_Q15, image_w2.array("luts.exp")[:512])
         assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+    @pytest.mark.parametrize("entry,index,value", [
+        ("config", 11, 7),      # fusion index past the fusion modes
+        ("config", 11, 2),      # concat_project
+        ("config", 12, 9),      # mode index past the modes
+        ("config", 12, -1),
+        ("config", 0, 9),       # d_model against the entry dims
+        ("config", 4, 2**31 - 1),  # n_blocks
+        ("config_f", 1, np.inf),
+        ("config_f", 1, np.nan),
+        ("act_exponents", fm.quant_points(TINY).index("blocks.0.fwd.u"), 70),
+        ("tokenizer.k", 0, 63),
+        ("blocks.0.fwd.in_proj.k", 0, 63),
+        ("pool.k", 0, 63),
+    ])
+    def test_malformed_entry_exits_cleanly(self, tmp_path, capsys, image_w2, tiny_archive,
+                                           entry, index, value):
+        e = image_w2.get(entry)
+        flat = e.data.reshape(-1).copy()
+        flat[index] = value
+        e.data = flat
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) in (2, 3)
 
     def test_bad_entry_name_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
         def corrupt(blob):

@@ -6,10 +6,8 @@ from femba import container as ct
 
 def sample_container():
     c = ct.Container()
-    c.add("a.f32", ct.DT_F32, np.arange(12, dtype=np.float32).reshape(3, 4),
-          scale_kind=ct.SCALE_PER_CHANNEL_F32, scales=np.array([0.5, 1.0, 2.0]))
-    c.add("b.i8", ct.DT_I8, np.arange(-5, 5, dtype=np.int8),
-          scale_kind=ct.SCALE_POW2_EXP, pow2_exp=7)
+    c.add("a.f32", ct.DT_F32, np.arange(12, dtype=np.float32).reshape(3, 4))
+    c.add("b.i8", ct.DT_I8, np.arange(-5, 5, dtype=np.int8))
     c.add("c.i32", ct.DT_I32, np.array([2**30, -5], dtype=np.int32))
     c.add("d.q15", ct.DT_Q15, np.array([-32768, 0, 32767], dtype=np.int16))
     c.add("e.t2", ct.DT_T2, np.array([0x55555555, 0xA4], dtype=np.uint32),
@@ -31,8 +29,7 @@ def test_entry_contents_preserved():
     c = ct.Container.frombytes(sample_container().tobytes())
     np.testing.assert_array_equal(c.array("a.f32"),
                                   np.arange(12, dtype=np.float32).reshape(3, 4))
-    np.testing.assert_allclose(c.get("a.f32").scales, [0.5, 1.0, 2.0])
-    assert c.get("b.i8").pow2_exp == 7
+    np.testing.assert_array_equal(c.array("b.i8"), np.arange(-5, 5))
     assert c.get("e.t2").dims == (2, 10)
     np.testing.assert_array_equal(c.get("e.t2").data, [0x55555555, 0xA4])
 
@@ -64,6 +61,18 @@ def test_bad_entry_name_rejected():
     assert blob[12:17] == b"a.f32"  # first name, after the header and its length
     blob[12] = 0xFF  # never valid in UTF-8
     with pytest.raises(ct.FormatError, match="UTF-8"):
+        ct.Container.frombytes(bytes(blob))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_scale_kind_rejected(kind):
+    """Entries carry no scale block; the retired kinds 1 (per-channel f32)
+    and 2 (power-of-two exponent) are format errors."""
+    blob = bytearray(sample_container().tobytes())
+    at = 10 + 2 + len("a.f32") + 2 + 4 * 2  # the first entry's scale-kind byte
+    assert blob[at] == 0
+    blob[at] = kind
+    with pytest.raises(ct.FormatError, match="scale kind"):
         ct.Container.frombytes(bytes(blob))
 
 

@@ -29,7 +29,9 @@ def test_lists_match_every_path(base, fusion):
     ref.reference_int_forward(img, win, trace=tr_r)
     assert tr_e.keys() == tr_r.keys() == taps | {"logits_i32"}
 
-    assert img.layers.keys() | {"head"} == {layer["name"] for layer in catalog}
+    assert {name: t.shape for name, t in img.tensors.items()} == \
+        {name: w.shape for name, w in qz.weight_arrays(weights, cfg).items()}
+    assert {layer["name"] for layer in catalog} <= img.tensors.keys()
     for layer in catalog[:-1]:
         rows = sum(r for _, r in layer["out_taps"])
         assert rows == art.weights_q[layer["name"]].q.shape[0], layer["name"]

@@ -111,7 +111,7 @@ class TestPow2Scale:
     def test_degenerate_zero_stats(self):
         stats = qz.CalibStats()
         stats.add(np.zeros(100))
-        assert qz.choose_pow2_scale(stats).exponent == qz.DEFAULT_MAX_EXPONENT
+        assert qz.choose_pow2_scale(stats).exponent == qz.MAX_EXPONENT
 
     def test_empty_stats_error(self):
         with pytest.raises(qz.CalibrationError):
@@ -121,10 +121,10 @@ class TestPow2Scale:
     @given(p=st.floats(1e-6, 1e6))
     def test_coverage_property(self, p):
         n = qz.choose_pow2_scale(p, bits=8).exponent
-        assert 0 <= n <= qz.DEFAULT_MAX_EXPONENT
+        assert 0 <= n <= qz.MAX_EXPONENT
         if p <= 127.0:
             assert 127 * 2.0 ** (-n) >= p  # never clips below the chosen point
-        if 0 < n < qz.DEFAULT_MAX_EXPONENT:
+        if 0 < n < qz.MAX_EXPONENT:
             assert 127 * 2.0 ** (-(n + 1)) < p  # and n is the finest such grid
 
 
@@ -154,7 +154,7 @@ class TestCalibrate:
         w = fm.zero_weights(tiny_cfg)
         act = qz.calibrate(w, tiny_cfg, [np.zeros((tiny_cfg.n_channels,
                                                    tiny_cfg.n_samples))])
-        assert all(a.exponent == qz.DEFAULT_MAX_EXPONENT for a in act.values())
+        assert all(a.exponent == qz.MAX_EXPONENT for a in act.values())
 
     def test_duplicated_windows_same_scales(self, tiny_cfg, tiny_weights, tiny_windows):
         a = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2])
