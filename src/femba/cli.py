@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="memory-streaming cycle simulation")
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--mode", choices=("fp32", "w8a8", "w4a8", "w2a8"), default="w8a8")
+    sp.add_argument("--mode", choices=ss.MODES, default="w8a8")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bench)

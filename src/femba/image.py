@@ -177,9 +177,8 @@ class QTensor:
 
 @dataclass
 class EngineImage:
-    """A loaded deployment image. ``tensors`` maps every layer of
-    ``quantizer.layer_catalog``, ``pos`` and each branch's ``a_mat`` and
-    ``d_skip`` to its record."""
+    """A loaded deployment image. ``tensors`` maps every tensor of
+    ``quantizer.tensor_shapes`` to its record."""
     cfg: fm.ModelConfig
     mode: str
     act_exp: dict[str, int]
@@ -266,21 +265,6 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     return c
 
 
-def _tensor_shapes(cfg: fm.ModelConfig):
-    """(name, dims) of every quantized tensor an image of ``cfg`` holds."""
-    dm, di, ds, dr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.dt_rank
-    yield "tokenizer", (cfg.n_groups * dm, cfg.n_channels * cfg.patch_size)
-    yield "pos", (cfg.n_tokens, dm)
-    for i in range(cfg.n_blocks):
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            yield from ((p + "in_proj", (2 * di, dm)), (p + "conv", (di, cfg.d_conv)),
-                        (p + "x_proj", (dr + 2 * ds, di)), (p + "dt_proj", (di, dr)),
-                        (p + "out_proj", (dm, di)), (p + "a_mat", (di, ds)),
-                        (p + "d_skip", (1, di)))
-    yield "head", (cfg.n_classes, dm)
-
-
 def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:
     """Entry ``name`` as a flat array, checked to hold ``size`` values of
     container dtype ``dtype``."""
@@ -355,7 +339,7 @@ def load_image(source) -> EngineImage:
     tensors = {}
     # every dim is checked against the entries here, before quant_points
     # walks (and allocates) the config's graph
-    for name, shape in _tensor_shapes(cfg):
+    for name, shape in qz.tensor_shapes(cfg):
         t = tensors[name] = _read_tensor(c, name, shape)
         bound = input_bound.get(name.rsplit(".", 1)[-1])
         if bound is None:

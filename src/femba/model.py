@@ -59,9 +59,6 @@ class ModelConfig:
         return self.n_tokens // self.n_patches
 
 
-TINY_PRESET = ModelConfig()
-
-
 @dataclass
 class BranchParams:
     """One scan direction: projections, local conv, and SSM parameters."""
@@ -421,7 +418,3 @@ def graph(cfg: ModelConfig) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
 def quant_points(cfg: ModelConfig) -> list[str]:
     """Ordered names of every activation quantization point in the network."""
     return list(graph(cfg)[0])
-
-
-def scaled_config(cfg: ModelConfig, **overrides) -> ModelConfig:
-    return replace(cfg, **overrides)

@@ -15,9 +15,6 @@ import numpy as np
 UNMASKED_WEIGHT = 0.1
 PT_FLOOR = 1e-12
 
-# incremented whenever a focal-loss probability had to be clamped at the floor
-clamp_warnings = 0
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -186,9 +183,9 @@ def focal_loss(probs: np.ndarray, labels: np.ndarray, alpha, gamma: float
 
     probs: (B, n_classes) predicted probabilities; labels: (B,) int class ids;
     alpha: scalar or per-class array. gamma=0, alpha=1 reduces to cross-entropy.
+    A p_t below PT_FLOOR is clamped to it and gets a zero gradient.
     Returns (loss, dloss/dprobs).
     """
-    global clamp_warnings
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
@@ -197,9 +194,7 @@ def focal_loss(probs: np.ndarray, labels: np.ndarray, alpha, gamma: float
     alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (probs.shape[1],))
     pt = probs[np.arange(bsz), labels]
     clamped = pt < PT_FLOOR
-    if np.any(clamped):
-        clamp_warnings += int(np.sum(clamped))
-        pt = np.maximum(pt, PT_FLOOR)
+    pt = np.maximum(pt, PT_FLOOR)
     at = alpha[labels]
     one_m = 1.0 - pt
     loss = float(np.mean(-at * one_m ** gamma * np.log(pt)))

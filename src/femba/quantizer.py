@@ -58,21 +58,6 @@ class TernaryPacked:
     scales: np.ndarray
 
 
-@dataclass
-class Pow2ActQuant:
-    exponent: int
-    bits: int = 8
-    signed: bool = True
-
-    @property
-    def scale(self) -> float:
-        return 2.0 ** (-self.exponent)
-
-    @property
-    def qmax(self) -> int:
-        return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
-
-
 def quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
     """Symmetric per-output-channel quantization: s_c = max|row| / (2^(b-1)-1).
 
@@ -147,8 +132,6 @@ class CalibStats:
     and invariant under duplicated batches."""
     clip_pct: float = DEFAULT_CLIP_PCT
     count: int = 0
-    minimum: float = math.inf
-    maximum: float = -math.inf
     p_clip: float = 0.0
 
     def add(self, a: np.ndarray):
@@ -156,31 +139,28 @@ class CalibStats:
         if a.size == 0:
             return
         self.count += a.size
-        self.minimum = min(self.minimum, float(a.min()))
-        self.maximum = max(self.maximum, float(a.max()))
         self.p_clip = max(self.p_clip, float(np.percentile(np.abs(a), self.clip_pct)))
 
 
-def choose_pow2_scale(stats: CalibStats | float, bits: int = 8,
-                      signed: bool = True) -> Pow2ActQuant:
-    """Largest exponent n in [0, MAX_EXPONENT] such that qmax * 2^-n still
-    covers the clipping point, i.e. the finest power-of-two grid that does
-    not clip below it. Degenerate all-zero statistics take MAX_EXPONENT."""
+def choose_pow2_scale(stats: CalibStats | float) -> int:
+    """Largest exponent n in [0, MAX_EXPONENT] such that 127 * 2^-n still
+    covers the clipping point, i.e. the finest power-of-two INT8 grid that
+    does not clip below it. Degenerate all-zero statistics take MAX_EXPONENT."""
     if isinstance(stats, CalibStats):
         if stats.count == 0:
             raise CalibrationError("empty calibration statistics")
         p = stats.p_clip
     else:
         p = float(stats)
-    qmax = (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
     if p <= 0.0:
-        return Pow2ActQuant(MAX_EXPONENT, bits, signed)
+        return MAX_EXPONENT
+    qmax = 127
     n = int(math.floor(math.log2(qmax / p))) if qmax > p else 0
     while qmax * 2.0 ** (-(n + 1)) >= p:
         n += 1
     while n > 0 and qmax * 2.0 ** (-n) < p:
         n -= 1
-    return Pow2ActQuant(max(0, min(n, MAX_EXPONENT)), bits, signed)
+    return max(0, min(n, MAX_EXPONENT))
 
 
 def quantize_activation(a: np.ndarray, n: int, bits: int = 8) -> np.ndarray:
@@ -203,16 +183,39 @@ def layer_catalog(cfg: fm.ModelConfig) -> list[dict]:
             for name, in_tap, out_taps in fm.graph(cfg)[1]]
 
 
-def weight_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
-    """All quantizable weight tensors as (out_channels, ...) float arrays."""
-    ops = fm.FloatOps(weights, cfg)
-    out = {layer["name"]: ops.weight(layer["name"])[0] for layer in layer_catalog(cfg)}
-    out["pos"] = ops.pos
+def tensor_shapes(cfg: fm.ModelConfig):
+    """(name, (rows, cols)) of every tensor a deployed model stores: every
+    weighted layer of `layer_catalog`, ``pos``, and each branch's ``a_mat``
+    and ``d_skip`` (one row, so one per-tensor scale). Plain arithmetic on
+    the config, yielded lazily, so `image.load_image` checks an image's
+    dims before anything walks the graph and stops at the first entry that
+    disagrees, whatever number of blocks a crafted config claims."""
+    dm, di, ds, dr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.dt_rank
+    yield "tokenizer", (cfg.n_groups * dm, cfg.n_channels * cfg.patch_size)
+    yield "pos", (cfg.n_tokens, dm)
     for i in range(cfg.n_blocks):
         for d in ("fwd", "bwd"):
-            a, d_skip = ops.scan(i, d)
-            out[f"blocks.{i}.{d}.a_mat"] = a
-            out[f"blocks.{i}.{d}.d_skip"] = d_skip.reshape(1, -1)  # per-tensor scale
+            p = f"blocks.{i}.{d}."
+            yield from ((p + "in_proj", (2 * di, dm)), (p + "conv", (di, cfg.d_conv)),
+                        (p + "x_proj", (dr + 2 * ds, di)), (p + "dt_proj", (di, dr)),
+                        (p + "out_proj", (dm, di)), (p + "a_mat", (di, ds)),
+                        (p + "d_skip", (1, di)))
+    yield "head", (cfg.n_classes, dm)
+
+
+def weight_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
+    """Every tensor of `tensor_shapes` as a float array of its dims."""
+    ops = fm.FloatOps(weights, cfg)
+    out = {}
+    for name, shape in tensor_shapes(cfg):
+        if name == "pos":
+            w = ops.pos
+        elif name.endswith((".a_mat", ".d_skip")):
+            _, i, d, kind = name.split(".")
+            w = ops.scan(int(i), d)[kind == "d_skip"]
+        else:
+            w = ops.weight(name)[0]
+        out[name] = w.reshape(shape)
     return out
 
 
@@ -233,16 +236,16 @@ class QuantArtifacts:
     mode: str
     weights_q: dict[str, QuantizedTensor] = field(default_factory=dict)
     biases: dict[str, np.ndarray] = field(default_factory=dict)
-    act: dict[str, Pow2ActQuant] = field(default_factory=dict)
+    act: dict[str, int] = field(default_factory=dict)  # tap -> exponent
 
     def exponent(self, tap: str) -> int:
         if tap not in self.act:
             raise CalibrationError(f"missing activation scale for {tap!r}")
-        return self.act[tap].exponent
+        return self.act[tap]
 
 
 def calibrate(weights: fm.FembaWeights, cfg: fm.ModelConfig, windows,
-              clip_pct: float = DEFAULT_CLIP_PCT) -> dict[str, Pow2ActQuant]:
+              clip_pct: float = DEFAULT_CLIP_PCT) -> dict[str, int]:
     """Float forward over the calibration windows, recording statistics at
     every quantization point, then power-of-two scale selection per tap."""
     windows = list(windows)

@@ -94,7 +94,7 @@ def _check_cutoffs(fs, *cutoffs):
             raise FilterSpecError(f"cutoff {c} Hz outside (0, {nyq}) for fs={fs}")
 
 
-def _zero_phase(sos, x, order):
+def _zero_phase(sos, x):
     """Forward-backward filtering on a periodic extension.
 
     One full copy of the signal on each side gives narrowband filters (the
@@ -102,7 +102,6 @@ def _zero_phase(sos, x, order):
     before the retained segment; reflection padding leaves several percent of
     ringing on pure tones.
     """
-    del order
     n = x.shape[-1]
     if n == 0:
         return x.copy()
@@ -118,7 +117,7 @@ def bandpass(x: np.ndarray, fs: float, lo_hz: float = 1.0, hi_hz: float = 75.0,
         raise FilterSpecError(f"band edges out of order: {lo_hz} >= {hi_hz}")
     _check_cutoffs(fs, lo_hz, hi_hz)
     sos = sps.butter(order, [lo_hz, hi_hz], btype="bandpass", fs=fs, output="sos")
-    return _zero_phase(sos, np.asarray(x, dtype=np.float64), 2 * order)
+    return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
 def notch(x: np.ndarray, fs: float, f0_hz: float = 60.0, q_factor: float = 30.0) -> np.ndarray:
@@ -126,14 +125,14 @@ def notch(x: np.ndarray, fs: float, f0_hz: float = 60.0, q_factor: float = 30.0)
     _check_cutoffs(fs, f0_hz)
     b, a = sps.iirnotch(f0_hz, q_factor, fs=fs)
     sos = sps.tf2sos(b, a)
-    return _zero_phase(sos, np.asarray(x, dtype=np.float64), 2)
+    return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
 def lowpass_biquad(x: np.ndarray, fs: float = TARGET_RATE_HZ, cutoff_hz: float = 40.0) -> np.ndarray:
     """Zero-phase 2nd-order Butterworth low-pass (Q = 1/sqrt(2), bilinear)."""
     _check_cutoffs(fs, cutoff_hz)
     sos = sps.butter(2, cutoff_hz, btype="low", fs=fs, output="sos")
-    return _zero_phase(sos, np.asarray(x, dtype=np.float64), 2)
+    return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
 def lowpass_target(x: np.ndarray, fs: float = TARGET_RATE_HZ) -> np.ndarray:

@@ -1,16 +1,24 @@
-"""Hierarchical memory-streaming simulator with a MACs/cycle cost model.
+"""Memory-streaming simulator with a MACs/cycle cost model.
 
-Models the double-buffered weight path of the target device: weight tensors
-stream from off-chip storage to on-chip L2 in fixed-size chunks while the
-cores compute on the previous chunk, and each chunk is re-tiled into the L1
-scratchpad. Produces per-layer and per-sub-operation cycle breakdowns,
-compute/transfer overlap, latency, and energy.
+Models the double-buffered weight path of the target device: the tensors of
+a deployment image (`quantizer.tensor_shapes`, at the mode's bytes per
+weight) stream from off-chip storage to on-chip L2 in fixed-size chunks
+while the cores compute on the previous chunk. Produces per-layer and
+per-sub-operation cycle breakdowns, compute/transfer overlap, latency, and
+energy.
 
 Pipeline model per layer: chunks (c_i = compute cycles, t_i = transfer
 cycles) execute as t_0 + sum_i max(c_i, t_{i+1}); the leading fill transfer
 is charged explicitly. Overlap is measured over the steady-state transfers
 (everything after the fill): 100% when each is fully hidden under the
 previous chunk's compute.
+
+One transfer stage is enough. Each chunk moves on from L2 to L1, and two
+pipelined stages move data at the rate of the slower one, so a chunk's
+transfer is charged at min(L2, L1) bandwidth; the double buffering that
+hides it is `_pipeline_cycles`. Only the second stage's own fill is left out,
+one half-L1 tile (~2,000 cycles at the default bandwidths). The plan checks
+what that stage needs: one row of every tensor fits half of L1.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ import io
 from dataclasses import dataclass, field, replace
 
 from .model import ModelConfig
+from .quantizer import tensor_shapes
 
-LAYER_ORDER = ("patch_embed", "pos_embed", "mamba_blocks", "global_pool", "classifier")
+MODES = ("fp32", "w8a8", "w4a8", "w2a8")
 SUB_OP_ORDER = ("input_proj", "seq_reversal_fwd", "conv", "scan",
                 "output_proj", "seq_reversal_bwd", "fusion")
 SUB_OP_TITLES = {
@@ -96,13 +105,13 @@ def mac_count(cfg: ModelConfig, cm: CostModel = CostModel()) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # model -> streamable tensors
 
-_BYTES_PER_WEIGHT = {"fp32": 4.0, "w8a8": 1.0, "w4a8": 1.0}
+_BYTES_PER_WEIGHT = {"fp32": 4, "w8a8": 1, "w4a8": 1}
 
 
 def _weight_bytes(elems: int, mode: str) -> int:
-    if mode == "w2a8":
+    if mode == "w2a8":  # 16 ternary weights per 32-bit word
         return ((elems + 15) // 16) * 4
-    return int(elems * _BYTES_PER_WEIGHT.get(mode, 1.0))
+    return elems * _BYTES_PER_WEIGHT[mode]
 
 
 @dataclass(frozen=True)
@@ -119,69 +128,39 @@ class LayerPlanSpec:
     sub_ops: tuple
 
 
+# the sub-op that streams each tensor of an image, by the last part of its name
+_TENSOR_SUB_OP = {"tokenizer": "patch_embed", "pos": "pos_embed", "in_proj": "input_proj",
+                  "conv": "conv", "x_proj": "scan", "dt_proj": "scan", "a_mat": "scan",
+                  "d_skip": "scan", "out_proj": "output_proj", "head": "classifier"}
+
+
 def model_layers(cfg: ModelConfig, cm: CostModel, mode: str = "w8a8") -> list[LayerPlanSpec]:
-    """Layer/sub-op schedule for the full encoder in report order."""
+    """Layer/sub-op schedule for the full encoder in report order; every
+    tensor of the image streams under its sub-op, in `tensor_shapes` order."""
     macs = mac_count(cfg, cm)
-    gd = cfg.n_groups * cfg.d_model
-    per_dir = {
-        "in_proj": (2 * cfg.d_inner * cfg.d_model, cfg.d_model),
-        "out_proj": (cfg.d_model * cfg.d_inner, cfg.d_inner),
-        "conv": (cfg.d_inner * cfg.d_conv, cfg.d_conv),
-        "x_proj": ((cfg.dt_rank + 2 * cfg.d_state) * cfg.d_inner, cfg.d_inner),
-        "dt_proj": (cfg.d_inner * cfg.dt_rank, cfg.dt_rank),
-        "a_mat": (cfg.d_inner * cfg.d_state, cfg.d_state),
-        "d_skip": (cfg.d_inner, cfg.d_inner),
-    }
+    streamed: dict[tuple[str, str], list] = {}  # (layer, sub-op) -> tensors
+    for name, (rows, cols) in tensor_shapes(cfg):
+        parts = name.split(".")
+        sub = _TENSOR_SUB_OP[parts[-1]]
+        owner = f"mamba_blocks.{parts[1]}" if parts[0] == "blocks" else sub
+        streamed.setdefault((owner, sub), []).append(
+            (name, _weight_bytes(rows * cols, mode), _weight_bytes(cols, mode)))
 
-    def dir_tensors(i, names):
-        out = []
-        for d in ("fwd", "bwd"):
-            for nm in names:
-                elems, row = per_dir[nm]
-                out.append((f"blocks.{i}.{d}.{nm}", _weight_bytes(elems, mode),
-                            _weight_bytes(row, mode)))
-        return tuple(out)
+    def layer(name: str, sub_ops=None) -> LayerPlanSpec:
+        subs = []
+        for sub in sub_ops or (name,):
+            cost = (dict(macs=macs[sub]) if sub in macs
+                    else dict(fixed_cycles=cm.fixed_cycles[sub]))
+            subs.append(SubOp(sub, tensors=tuple(streamed.get((name, sub), ())), **cost))
+        return LayerPlanSpec(name, tuple(subs))
 
-    layers = [
-        LayerPlanSpec("patch_embed", (SubOp(
-            "patch_embed", fixed_cycles=cm.fixed_cycles["patch_embed"],
-            tensors=(("tokenizer", _weight_bytes(gd * cfg.n_channels * cfg.patch_size, mode),
-                      _weight_bytes(cfg.n_channels * cfg.patch_size, mode)),)),)),
-        LayerPlanSpec("pos_embed", (SubOp(
-            "pos_embed", fixed_cycles=cm.fixed_cycles["pos_embed"],
-            tensors=(("pos_embed", _weight_bytes(cfg.n_tokens * cfg.d_model, mode),
-                      _weight_bytes(cfg.d_model, mode)),)),)),
-    ]
-    for i in range(cfg.n_blocks):
-        sub_ops = (
-            SubOp("input_proj", macs=macs["input_proj"], tensors=dir_tensors(i, ("in_proj",))),
-            SubOp("seq_reversal_fwd", fixed_cycles=cm.fixed_cycles["seq_reversal_fwd"]),
-            SubOp("conv", macs=macs["conv"], tensors=dir_tensors(i, ("conv",))),
-            SubOp("scan", macs=macs["scan"],
-                  tensors=dir_tensors(i, ("x_proj", "dt_proj", "a_mat", "d_skip"))),
-            SubOp("output_proj", macs=macs["output_proj"], tensors=dir_tensors(i, ("out_proj",))),
-            SubOp("seq_reversal_bwd", fixed_cycles=cm.fixed_cycles["seq_reversal_bwd"]),
-            SubOp("fusion", fixed_cycles=cm.fixed_cycles["fusion"]),
-        )
-        layers.append(LayerPlanSpec(f"mamba_blocks.{i}", sub_ops))
-    layers.append(LayerPlanSpec("global_pool", (SubOp(
-        "global_pool", fixed_cycles=cm.fixed_cycles["global_pool"]),)))
-    layers.append(LayerPlanSpec("classifier", (SubOp(
-        "classifier", fixed_cycles=cm.fixed_cycles["classifier"],
-        tensors=(("head", _weight_bytes(cfg.n_classes * cfg.d_model, mode),
-                  _weight_bytes(cfg.d_model, mode)),)),)))
-    return layers
+    return ([layer("patch_embed"), layer("pos_embed")] +
+            [layer(f"mamba_blocks.{i}", SUB_OP_ORDER) for i in range(cfg.n_blocks)] +
+            [layer("global_pool"), layer("classifier")])
 
 
 # ---------------------------------------------------------------------------
 # streaming plan
-
-@dataclass(frozen=True)
-class Tile:
-    start: int
-    nbytes: int
-    slot: int
-
 
 @dataclass(frozen=True)
 class Chunk:
@@ -190,8 +169,6 @@ class Chunk:
     tensor: str
     start: int
     nbytes: int
-    slot: int
-    tiles: tuple
 
 
 @dataclass(frozen=True)
@@ -202,29 +179,18 @@ class StreamPlan:
 
 def plan_stream(layers: list[LayerPlanSpec], h: MemHierarchy) -> StreamPlan:
     """Chunk every weight tensor into <= l3_chunk_bytes transfers covering it
-    exactly once, with per-chunk L1 tiles and alternating buffer slots."""
+    exactly once; PlanError if a row of a tensor cannot fit half of L1."""
     half_l1 = h.l1_bytes // 2
     chunks = []
     for layer in layers:
-        slot = 0
         for sub in layer.sub_ops:
             for tname, nbytes, row_bytes in sub.tensors:
                 if row_bytes > half_l1:
                     raise PlanError(
                         f"{tname}: row of {row_bytes} B cannot fit half of L1 ({half_l1} B)")
-                pos = 0
-                while pos < nbytes:
-                    csize = min(h.l3_chunk_bytes, nbytes - pos)
-                    tiles, tpos, tslot = [], 0, 0
-                    while tpos < csize:
-                        tsize = min(half_l1, csize - tpos)
-                        tiles.append(Tile(pos + tpos, tsize, tslot))
-                        tslot ^= 1
-                        tpos += tsize
-                    chunks.append(Chunk(layer.name, sub.name, tname, pos, csize,
-                                        slot, tuple(tiles)))
-                    slot ^= 1
-                    pos += csize
+                for pos in range(0, nbytes, h.l3_chunk_bytes):
+                    chunks.append(Chunk(layer.name, sub.name, tname, pos,
+                                        min(h.l3_chunk_bytes, nbytes - pos)))
     return StreamPlan(tuple(chunks), tuple(layers))
 
 
@@ -441,4 +407,6 @@ def config_from_mapping(kv: dict) -> tuple[MemHierarchy, CostModel, str]:
                  scan_mac_mode=kv.get("scan_mac_mode", cm.scan_mac_mode),
                  scan_macs_per_step=int(kv.get("scan_macs_per_step", cm.scan_macs_per_step)))
     mode = kv.get("mode", "w8a8")
+    if mode not in MODES:
+        raise PlanError(f"mode {mode!r} is not one of {', '.join(MODES)}")
     return h, cm, mode

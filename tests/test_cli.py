@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestQuantize:
     def test_fp32_byte_preserving_repack(self, tmp_path, tiny_checkpoint):
         out = tmp_path / "repack.fmbc"
         assert run("quantize", tiny_checkpoint, out, "--mode", "fp32") == 0
-        assert out.read_bytes() == open(tiny_checkpoint, "rb").read()
+        assert out.read_bytes() == Path(tiny_checkpoint).read_bytes()
 
     def test_w8a8_and_w2a8_images(self, tmp_path, tiny_checkpoint, tiny_archive):
         out8 = tmp_path / "i8.fmbc"
@@ -289,6 +290,15 @@ class TestBench:
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text("l3_chunk_bytes = 2000000\n")
         assert run("bench", "--config", cfgf) == 4
+
+    @pytest.mark.parametrize("mode", ["banana", "fakequant", "8"])
+    def test_unknown_mode_exit_4(self, tmp_path, capsys, mode):
+        cfgf = tmp_path / "bench.cfg"
+        cfgf.write_text(f"mode = {mode}\n")
+        assert run("bench", "--config", cfgf) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and captured.err.startswith("error:")
 
     def test_csv_out(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,6 +1,10 @@
-"""The tap and layer lists are read off the float-domain walker; the integer
-engine and reference write the graph out by hand. These tests hold the
-hand-written pair to the derived lists."""
+"""The tap and layer lists are read off the float-domain walker and the
+deployed tensors off `quantizer.tensor_shapes`; the integer engine and
+reference write the graph out by hand. These tests hold the hand-written
+pair to the derived lists, and the simulator's streamed tensors to the
+image's."""
+
+import dataclasses
 
 import pytest
 
@@ -9,6 +13,7 @@ from femba import image as im
 from femba import model as fm
 from femba import quantizer as qz
 from femba import reference as ref
+from femba import streamsim as ss
 
 from conftest import TINY, TINY_GROUPED, make_windows
 
@@ -16,7 +21,7 @@ from conftest import TINY, TINY_GROUPED, make_windows
 @pytest.mark.parametrize("fusion", ["sum", "mean"])
 @pytest.mark.parametrize("base", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
 def test_lists_match_every_path(base, fusion):
-    cfg = fm.scaled_config(base, fusion=fusion)
+    cfg = dataclasses.replace(base, fusion=fusion)
     weights = fm.init_weights(cfg, seed=5)
     art = qz.quantize_model(weights, cfg, "w8a8", make_windows(cfg, 2, seed=6))
     img = im.load_image(im.build_image(cfg, art))
@@ -55,3 +60,21 @@ def test_lists_are_in_walk_order():
     assert catalog[-1] == dict(name="head", in_tap="pooled", out_taps=[])
     for layer in catalog[:-1]:
         assert taps.index(layer["in_tap"]) < taps.index(layer["out_taps"][0][0])
+
+
+@pytest.mark.parametrize("mode", ["w8a8", "w4a8", "w2a8"])
+@pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+def test_streamsim_streams_the_image_tensors(cfg, mode):
+    weights = fm.init_weights(cfg, seed=5)
+    art = qz.quantize_model(weights, cfg, mode, make_windows(cfg, 1, seed=6))
+    c = im.build_image(cfg, art)
+    img = im.load_image(c)
+    layers = ss.model_layers(cfg, ss.CostModel(), mode)
+    plan = ss.plan_stream(layers, ss.MemHierarchy())
+
+    streamed = [t[0] for layer in layers for sub in layer.sub_ops for t in sub.tensors]
+    assert len(streamed) == len(set(streamed))
+    assert set(streamed) == img.tensors.keys()
+    assert {ch.tensor for ch in plan.chunks} == img.tensors.keys()
+    assert sum(ch.nbytes for ch in plan.chunks) == \
+        sum(len(c.get(name + ".q").payload_bytes()) for name in img.tensors)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestBiMambaBlock:
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_fusion_modes(self, tiny_cfg):
-        cfg_mean = fm.scaled_config(tiny_cfg, fusion="mean")
+        cfg_mean = dataclasses.replace(tiny_cfg, fusion="mean")
         w = fm.init_weights(cfg_mean, seed=2)
         tokens = np.random.default_rng(9).normal(size=(tiny_cfg.n_tokens, tiny_cfg.d_model))
         f = walk(w, cfg_mean).branch(tokens, 0, "fwd")
@@ -178,7 +179,7 @@ class TestBiMambaBlock:
         out = walk(w, cfg_mean).block(tokens, 0)
         np.testing.assert_allclose(out, tokens + 0.5 * (f + b), atol=1e-9)
 
-        cfg_cp = fm.scaled_config(tiny_cfg, fusion="concat_project")
+        cfg_cp = dataclasses.replace(tiny_cfg, fusion="concat_project")
         w2 = fm.init_weights(cfg_cp, seed=2)
         out2 = walk(w2, cfg_cp).block(tokens, 0)
         assert out2.shape == tokens.shape

@@ -201,11 +201,14 @@ class TestFocalLoss:
                   for p in pts]
         assert np.all(np.diff(losses) < 0)
 
-    def test_clamp_counter(self):
-        before = obj.clamp_warnings
-        loss, grad = obj.focal_loss(np.array([[0.0, 1.0]]), np.array([0]), 1.0, 0.0)
-        assert obj.clamp_warnings == before + 1
-        assert np.isfinite(loss)
+    def test_clamped_pt_finite_loss_zero_grad(self):
+        probs = np.array([[0.0, 1.0], [0.4, 0.6]])
+        for gamma in (0.0, 2.0):
+            loss, grad = obj.focal_loss(probs, np.array([0, 0]), 1.0, gamma)
+            assert np.isfinite(loss)
+            assert np.all(np.isfinite(grad))
+            assert grad[0, 0] == 0.0  # clamped p_t
+            assert grad[1, 0] != 0.0
 
     def test_per_class_alpha(self):
         probs = np.array([[0.3, 0.7], [0.6, 0.4]])

@@ -97,21 +97,20 @@ class TestPacking:
 
 class TestPow2Scale:
     def test_p999_point_nine(self):
-        assert qz.choose_pow2_scale(0.9, bits=8).exponent == 7
+        assert qz.choose_pow2_scale(0.9) == 7
 
     def test_boundary_127(self):
-        assert qz.choose_pow2_scale(127.0, bits=8).exponent == 0
+        assert qz.choose_pow2_scale(127.0) == 0
 
     def test_exact_representation(self):
-        act = qz.Pow2ActQuant(exponent=2)
-        q = qz.quantize_activation(np.array([0.75]), act.exponent)
+        q = qz.quantize_activation(np.array([0.75]), 2)
         assert q[0] == 3
-        assert q[0] * act.scale == 0.75
+        assert q[0] * 2.0 ** -2 == 0.75
 
     def test_degenerate_zero_stats(self):
         stats = qz.CalibStats()
         stats.add(np.zeros(100))
-        assert qz.choose_pow2_scale(stats).exponent == qz.MAX_EXPONENT
+        assert qz.choose_pow2_scale(stats) == qz.MAX_EXPONENT
 
     def test_empty_stats_error(self):
         with pytest.raises(qz.CalibrationError):
@@ -120,7 +119,7 @@ class TestPow2Scale:
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(1e-6, 1e6))
     def test_coverage_property(self, p):
-        n = qz.choose_pow2_scale(p, bits=8).exponent
+        n = qz.choose_pow2_scale(p)
         assert 0 <= n <= qz.MAX_EXPONENT
         if p <= 127.0:
             assert 127 * 2.0 ** (-n) >= p  # never clips below the chosen point
@@ -154,13 +153,12 @@ class TestCalibrate:
         w = fm.zero_weights(tiny_cfg)
         act = qz.calibrate(w, tiny_cfg, [np.zeros((tiny_cfg.n_channels,
                                                    tiny_cfg.n_samples))])
-        assert all(a.exponent == qz.MAX_EXPONENT for a in act.values())
+        assert all(n == qz.MAX_EXPONENT for n in act.values())
 
     def test_duplicated_windows_same_scales(self, tiny_cfg, tiny_weights, tiny_windows):
         a = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2])
         b = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2] * 3)
-        assert {k: v.exponent for k, v in a.items()} == \
-               {k: v.exponent for k, v in b.items()}
+        assert a == b
 
     def test_requires_windows(self, tiny_cfg, tiny_weights):
         with pytest.raises(qz.CalibrationError):
@@ -169,8 +167,7 @@ class TestCalibrate:
     def test_deterministic(self, tiny_cfg, tiny_weights, tiny_windows):
         a = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows)
         b = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows)
-        assert {k: v.exponent for k, v in a.items()} == \
-               {k: v.exponent for k, v in b.items()}
+        assert a == b
 
 
 class TestFakeQuantForward:

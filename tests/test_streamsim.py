@@ -49,18 +49,18 @@ class TestPlanStream:
         with pytest.raises(ss.PlanError):
             ss.plan_stream(layers, ss.MemHierarchy())
 
-    def test_double_buffer_slots_alternate(self):
+    def test_chunks_tile_each_tensor_in_order(self):
+        h = ss.MemHierarchy()
         layers = ss.model_layers(ModelConfig(), ss.CostModel(), "w8a8")
-        plan = ss.plan_stream(layers, ss.MemHierarchy())
-        per_layer = {}
+        plan = ss.plan_stream(layers, h)
+        sizes = {t[0]: t[1] for layer in layers for sub in layer.sub_ops
+                 for t in sub.tensors}
+        covered = {}
         for c in plan.chunks:
-            per_layer.setdefault(c.layer, []).append(c.slot)
-        for slots in per_layer.values():
-            assert all(a != b for a, b in zip(slots, slots[1:]))
-        for c in plan.chunks:
-            assert all(t.nbytes <= ss.MemHierarchy().l1_bytes // 2 for t in c.tiles)
-            tile_slots = [t.slot for t in c.tiles]
-            assert all(a != b for a, b in zip(tile_slots, tile_slots[1:]))
+            assert 0 < c.nbytes <= h.l3_chunk_bytes
+            assert c.start == covered.get(c.tensor, 0)  # contiguous, no gap or overlap
+            covered[c.tensor] = c.start + c.nbytes
+        assert covered == sizes
 
     def test_conservation(self):
         cfg = ModelConfig()
@@ -69,7 +69,6 @@ class TestPlanStream:
         want = sum(t[1] for layer in layers for sub in layer.sub_ops
                    for t in sub.tensors)
         assert sum(c.nbytes for c in plan.chunks) == want
-        assert sum(t.nbytes for c in plan.chunks for t in c.tiles) == want
 
     def test_chunk_must_fit_half_l2(self):
         with pytest.raises(ss.PlanError):
