@@ -161,9 +161,11 @@ def cmd_infer(args) -> int:
         if img.mode != mode:
             raise CliConfigError(f"manifest mode {mode!r} does not match image mode {img.mode!r}")
         results = []
+        stats = eng.EngineStats()
         for j, w in enumerate(windows):
             trace = {} if dump is not None else None
-            li, lf, _ = eng.engine_forward(img, w, trace=trace)
+            li, lf, window_stats = eng.engine_forward(img, w, trace=trace)
+            stats += window_stats
             results.append((li, lf))
             if dump is not None:
                 for tap, arr in trace.items():
@@ -172,6 +174,8 @@ def cmd_infer(args) -> int:
         out.add("logits", ct.DT_F32, np.asarray([lf for _, lf in results], dtype=np.float32))
         out.add("logits_i32", ct.DT_I32,
                 np.asarray([li for li, _ in results], dtype=np.int32))
+        print(f"scan saturations: {stats.scan_sat_events} of {stats.scan_steps} "
+              f"steps (rate {stats.saturation_rate:.3e})")
 
     out.save(manifest["output"])
     if dump is not None:

@@ -2,8 +2,9 @@
 
 All fields little-endian. The tensor container holds named, typed payloads and
 a trailing CRC32 over the payload region, so a write -> read -> write cycle is
-byte-identical. Each entry keeps a scale-kind byte, always 0 (no scale block);
-the parser rejects any other value.
+byte-identical. Entry names are unique: the parser rejects a repeated name
+rather than let one payload replace another. Each entry keeps a scale-kind
+byte, always 0 (no scale block); the parser rejects any other value.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class Container:
         if version != VERSION:
             raise FormatError(f"unsupported container version {version} (at byte 4)")
         pos = 10
-        metas = []
+        metas, names = [], set()
         for _ in range(n):
             (nlen,) = struct.unpack_from("<H", blob, pos)
             pos += 2
@@ -141,6 +142,9 @@ class Container:
                 name = blob[pos:pos + nlen].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"entry name is not UTF-8: {exc} (at byte {pos})") from exc
+            if name in names:
+                raise FormatError(f"entry {name!r}: duplicate name (at byte {pos})")
+            names.add(name)
             pos += nlen
             dtype, rank = struct.unpack_from("<BB", blob, pos)
             pos += 2

@@ -24,21 +24,35 @@ Exact arithmetic on fast kernels
   LUTs          lut_eval interpolates in int32: the position is clipped to
                 (LUT_SIZE-1) << step_shift < 2^31 and the rounded product of
                 an entry difference (|d| < 2^16) and the fraction
-                (< 2^step_shift <= 2^15) stays below 2^31. load_image checks
-                both bounds.
-  scan          q15_scan_core runs in int32: a step sums abar * h, bx * 2^15
-                and 2^14 before its shift by 15, at most
-                2^30 + 32767 * 2^15 + 2^14 < 2^31 in magnitude.
+                (< 2^step_shift <= 2^LUT_MAX_STEP_SHIFT) stays below 2^31.
+                load_image checks both bounds. The scan reads exp through
+                Lut.dense, lut_eval at every integer input of the domain:
+                (LUT_SIZE-1) * 2^step_shift + 1 int32 entries, 65,473 for the
+                built table (step_shift 6) and at most ~1 M (4 MB).
+  scan build    la = rhu(dt * a_coef, k) stays int64 (dt * a_coef reaches
+                ~2^37) and is formed a chunk of time rows at a time; clipped
+                to the exp domain it indexes the dense table.
+                bx = rhu(dt * u * b, n_u + n_b - 4) runs in int32:
+                |dt * u * b| <= 32768 * 127 * 127 < 2^29, so the rounded
+                shift is exact up to 31, and a wider shift gives 0 as 31
+                does. A negative shift (n_u + n_b < 4) is a left shift by at
+                most 4; the product is first clipped to +-2^16, which keeps
+                it in int32 and leaves every value that saturates saturated.
+  scan          q15_scan_core runs in int32: a step computes
+                ((abar * h + 2^14) >> 15) + bx, with |abar * h| <= 2^30.
+                y = c . h sums d_state products of at most 127 * 2^15, in
+                int32 while that sum stays below 2^31 (d_state < 516).
 
 Parallelism
-  The scan is channel-parallel: its d_inner channels are cut into blocks of
-  SCAN_BLOCK, small enough for the (T, block, d_state) temporaries to stay
-  in cache, and a pool of `workers` threads runs the blocks (numpy releases
-  the interpreter lock inside the block work). Each block runs sequentially
-  over time; the saturating Q15 update is not associative, so time is never
-  split. Integer results do not depend on the partition, so every worker
-  count gives bit-identical output. The matmuls take their threads from the
-  BLAS.
+  A block's two scan directions are independent until fusion, so with two or
+  more `workers` the backward scan runs on a second thread while the forward
+  one runs in the calling thread (numpy releases the interpreter lock inside
+  the array work). Everything else, and with one worker both scans, runs in
+  the calling thread, which also allocates the (T, d_inner, d_state) scan
+  buffers: memory freed in another thread stays in that thread's malloc
+  arena. Each scan runs sequentially over time; the saturating Q15 update is
+  not associative, so time is never split. The result does not depend on
+  the thread count. The matmuls take their threads from the BLAS.
 """
 
 from __future__ import annotations
@@ -65,7 +79,10 @@ ACT_FRAC = 15       # int8 activations widened for LUT input
 # (input, output) fractional bits of each table, as both integer paths use it
 LUT_FORMATS = {"exp": (EXP_IN_FRAC, 15), "silu": (ACT_FRAC, SILU_OUT_FRAC),
                "softplus": (ACT_FRAC, DT_FRAC)}
-LUT_MAX_STEP_SHIFT = 15  # |entry difference| * fraction + 2^14 < 2^16 * 2^15
+# the widest step any builder writes (softplus). It bounds Lut.dense at
+# (LUT_SIZE-1) * 2^10 + 1 entries and the interpolation product
+# |entry difference| * fraction below 2^16 * 2^10.
+LUT_MAX_STEP_SHIFT = 10
 
 
 class EngineConfigError(ValueError):
@@ -79,6 +96,15 @@ def worker_count(explicit: int | None = None) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+def _rhu_inplace(v: np.ndarray, k: int):
+    """rhu_shift in place, in v's own integer dtype."""
+    if k > 0:
+        v += 1 << (k - 1)
+        v >>= k
+    elif k < 0:
+        v <<= -k
 
 
 def rhu_shift(v, k: int):
@@ -137,6 +163,13 @@ class Lut:
         difference 0 and needs no index clamp."""
         e = self.entries.astype(np.int32)
         return np.stack([e, np.diff(e, append=e[-1])], axis=1)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """int32 lut_eval at every integer input of the domain, lo_fixed
+        first: one gather evaluates the table."""
+        top = (LUT_SIZE - 1) << self.step_shift
+        return lut_eval(self, np.arange(self.lo_fixed, self.lo_fixed + top + 1))
 
 
 def lut_eval(lut: Lut, x_fixed) -> np.ndarray:
@@ -200,7 +233,7 @@ def build_all_luts(dt_max: float = 10.0) -> dict[str, Lut]:
 # ---------------------------------------------------------------------------
 # integer kernels
 
-SCAN_BLOCK = 128  # scan channels per block: (T, block, d_state) int64 is 2.6 MB at T = 160
+SCAN_CHUNK = 1 << 16  # int64 values per chunk of the scan build: 2 time rows at full shape
 
 
 def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
@@ -276,30 +309,39 @@ class EngineStats:
     def saturation_rate(self) -> float:
         return self.scan_sat_events / self.scan_steps if self.scan_steps else 0.0
 
+    def __iadd__(self, other: "EngineStats") -> "EngineStats":
+        self.scan_sat_events += other.scan_sat_events
+        self.scan_steps += other.scan_steps
+        return self
+
 
 def q15_scan_core(abar, bx, stats: EngineStats | None = None) -> np.ndarray:
     """h_t = sat(q15_mul(abar_t, h_{t-1}) + bx_t), h_0 = 0, in int32.
 
     abar: (T, C, S) or (C, S); bx: (T, C, S); both hold Q15 values (the
-    int16 range). Each step computes (abar_t * h + bx_t * 2^15 + 2^14) >> 15,
-    which equals q15_mul(abar_t, h) + bx_t and stays inside int32:
-    2^30 + 32767 * 2^15 + 2^14 < 2^31. Returns the int32 state sequence h of
-    shape (T, C, S).
+    int16 range). Each step computes ((abar_t * h + 2^14) >> 15) + bx_t, which
+    equals q15_mul(abar_t, h) + bx_t before saturation and stays inside int32:
+    |abar_t * h| <= 2^30. Returns the int32 state sequence h of shape
+    (T, C, S).
+
+    Inputs already in int32 are the work buffers and are overwritten: bx by
+    the sums before saturation, and a (T, C, S) abar by the states, which
+    are returned in it (h_t replaces abar_t once read). Other inputs are
+    copied to int32 first.
     """
-    v = np.array(bx, dtype=np.int32)  # becomes the pre-saturation sums
-    v <<= 15
-    v += 1 << 14
     abar = np.asarray(abar, dtype=np.int32)
+    v = np.asarray(bx, dtype=np.int32)
     time_varying = abar.ndim == 3
-    hs = np.empty_like(v)
+    hs = abar if time_varying else np.empty_like(v)
     h = np.zeros(v.shape[1:], dtype=np.int32)
     decay = np.empty_like(h)
     # full-size bounds: numpy's min/max run much slower against a scalar
     lo, hi = np.full_like(h, Q15_MIN), np.full_like(h, Q15_MAX)
     for t in range(v.shape[0]):
         np.multiply(abar[t] if time_varying else abar, h, out=decay)
+        decay += 1 << 14
+        decay >>= 15
         v[t] += decay
-        v[t] >>= 15
         h = hs[t]
         np.maximum(v[t], lo, out=h)
         np.minimum(h, hi, out=h)
@@ -338,65 +380,110 @@ def _align_add(q_a, n_a: int, q_b, n_b: int, n_out: int) -> np.ndarray:
     return np.clip(rhu_shift(v, n_hi - n_out), -INT8_MAX, INT8_MAX)
 
 
-def _scan_direction(image, i: int, d: str, u_q, b_q, c_q, dtpre_q,
-                    workers: int, stats: EngineStats) -> np.ndarray:
-    """LUT-driven selective scan of one branch; returns y as INT8."""
-    cfg = image.cfg
+def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q, abar: np.ndarray,
+                    bx: np.ndarray) -> tuple[np.ndarray, EngineStats]:
+    """LUT-driven selective scan of the branch with tap prefix p; returns y
+    as INT8 and the branch's EngineStats. abar and bx are the caller's
+    (T, d_inner, d_state) int32 work buffers."""
     exp_n = image.act_exp
-    p = f"blocks.{i}.{d}."
     a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
     n_u, n_b, n_c = exp_n[p + "u"], exp_n[p + "b"], exp_n[p + "c"]
+    stats = EngineStats()
 
     dt_fix = lut_eval(image.luts["softplus"],
                       widen(dtpre_q, exp_n[p + "dt_pre"], ACT_FRAC))  # (T, C), DT_FRAC
-    a_coef = _values(a_mat) * a_mat.m[:, None]  # (C, S)
-    dt_u = dt_fix * u_q
-    c_q = c_q.astype(np.int64)
-    bx_shift = DT_FRAC + n_u + n_b - 15
+    a_coef = _values(a_mat) * a_mat.m[:, None]  # (C, S) int64
+    dt_u = dt_fix * u_q.astype(np.int32)
+    b32 = b_q.astype(np.int32)
+    bx_shift = min(DT_FRAC + n_u + n_b - 15, 31)  # every shift >= 31 gives 0
+    exp = image.luts["exp"]
+    exp_top = exp.dense.size - 1
 
-    def scan_block(ch: slice):
-        """y accumulator (T, block) and stats of one channel block."""
-        block_stats = EngineStats()
-        la = rhu_shift(dt_fix[:, ch, None] * a_coef[ch], a_mat.k)
-        abar = lut_eval(image.luts["exp"], la)  # (T, block, S) Q15
-        bx_raw = rhu_shift(dt_u[:, ch, None] * b_q[:, None, :], bx_shift)
-        bx = np.empty(bx_raw.shape, dtype=np.int32)
-        np.clip(bx_raw, Q15_MIN, Q15_MAX, out=bx, casting="unsafe")
-        block_stats.scan_sat_events += int(np.count_nonzero(bx != bx_raw))
-        h = q15_scan_core(abar, bx, stats=block_stats)
-        return np.einsum("ts,tcs->tc", c_q, h), block_stats
+    t_len = abar.shape[0]
+    rows = max(1, SCAN_CHUNK // (abar.shape[1] * abar.shape[2]))
+    wide = np.empty((rows,) + abar.shape[1:], dtype=np.int64)
+    for t0 in range(0, t_len, rows):
+        t = slice(t0, t0 + rows)
+        la = wide[:min(rows, t_len - t0)]
+        np.multiply(dt_fix[t, :, None], a_coef, out=la)
+        _rhu_inplace(la, a_mat.k)
+        np.clip(la, exp.lo_fixed, exp.lo_fixed + exp_top, out=la)
+        la -= exp.lo_fixed
+        np.take(exp.dense, la, out=abar[t])
+        xb = bx[t]
+        np.multiply(dt_u[t, :, None], b32[t, None, :], out=xb)
+        if bx_shift < 0:
+            np.clip(xb, -2 * Q15_ONE, 2 * Q15_ONE, out=xb)
+        _rhu_inplace(xb, bx_shift)
+        n_sat = np.count_nonzero(xb > Q15_MAX) + np.count_nonzero(xb < Q15_MIN)
+        if n_sat:
+            stats.scan_sat_events += int(n_sat)
+            np.clip(xb, Q15_MIN, Q15_MAX, out=xb)
 
-    blocks = [slice(c, c + SCAN_BLOCK) for c in range(0, cfg.d_inner, SCAN_BLOCK)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(scan_block, blocks))
-    y_acc = np.empty(dt_u.shape, dtype=np.int64)
-    for ch, (y_block, block_stats) in zip(blocks, results):
-        y_acc[:, ch] = y_block
-        stats.scan_sat_events += block_stats.scan_sat_events
-        stats.scan_steps += block_stats.scan_steps
-
+    h = q15_scan_core(abar, bx, stats=stats)
+    c_dtype = np.int32 if c_q.shape[1] * INT8_MAX * Q15_ONE < 2**31 else np.int64
+    y_acc = np.einsum("ts,tcs->tc", c_q.astype(c_dtype), h)
     du = rhu_shift(_values(d_skip) * u_q * d_skip.m[0], d_skip.k)
-    return np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]),
-                   -INT8_MAX, INT8_MAX)
+    y_q = np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]), -INT8_MAX, INT8_MAX)
+    return y_q, stats
+
+
+def _branch_in(image, p: str, seq, rec):
+    """in_proj, conv, SiLU, x_proj and dt_proj of the branch with tap prefix
+    p; returns its gate and its scan inputs (u, b, c, dt_pre)."""
+    cfg, exp_n = image.cfg, image.act_exp
+    xz = _matmul_layer(image, p + "in_proj", seq)
+    x_q = rec(p + "x", xz[:, :cfg.d_inner])
+    gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
+
+    conv = image.tensors[p + "conv"]
+    conv_q = rec(p + "conv", depthwise_conv_int8(
+        x_q, _values(conv), conv.bias, conv.m, conv.k))
+
+    su = lut_eval(image.luts["silu"], widen(conv_q, exp_n[p + "conv"], ACT_FRAC))
+    u_q = rec(p + "u", np.clip(
+        rhu_shift(su, SILU_OUT_FRAC - exp_n[p + "u"]), -INT8_MAX, INT8_MAX))
+
+    dbl = _matmul_layer(image, p + "x_proj", u_q)
+    dr, ds = cfg.dt_rank, cfg.d_state
+    dtr_q = rec(p + "dt_raw", dbl[:, :dr])
+    b_q = rec(p + "b", dbl[:, dr:dr + ds])
+    c_q = rec(p + "c", dbl[:, dr + ds:])
+    dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q))
+    return gate_q, (u_q, b_q, c_q, dtp_q)
+
+
+def _branch_out(image, p: str, y_q, gate_q, rec) -> np.ndarray:
+    """The scan output y gated by SiLU(gate) and projected by out_proj."""
+    exp_n = image.act_exp
+    sg = lut_eval(image.luts["silu"], widen(gate_q, exp_n[p + "gate"], ACT_FRAC))
+    gated = rec(p + "gated", np.clip(
+        rhu_shift(y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]),
+        -INT8_MAX, INT8_MAX))
+    return _matmul_layer(image, p + "out_proj", gated)
+
+
+DIRECTIONS = ("fwd", "bwd")
 
 
 def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
     """Full integer pipeline on one window.
 
-    workers is the number of threads over scan channel blocks (default:
-    FEMBA_THREADS, else the CPU count). Returns (logits_i32, logits_float,
-    stats). With trace, every INT8 activation tensor is recorded as int8
-    under its quantization-point name, plus 'logits_i32'.
+    workers is the number of threads (default: FEMBA_THREADS, else the CPU
+    count); from two up, a block's two scan directions run at once, and one
+    runs everything in the calling thread. Returns (logits_i32,
+    logits_float, stats). With trace, every INT8 activation tensor is
+    recorded as int8 under its quantization-point name, plus 'logits_i32'.
     """
     cfg = image.cfg
-    nw = worker_count(workers)
+    threaded = worker_count(workers) > 1
     stats = EngineStats()
     exp_n = image.act_exp
 
-    def rec(tap, q):
-        if trace is not None:
-            trace[tap] = np.asarray(q, dtype=np.int8 if q.dtype != np.int32 else np.int32)
+    def rec(tap, q, taps=trace):
+        if taps is not None:
+            taps[tap] = np.asarray(q, dtype=np.int8 if q.dtype != np.int32 else np.int32)
         return q
 
     q_in = rec("input", _quantize_input(window, exp_n["input"]))
@@ -413,52 +500,45 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
         rhu_shift(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]),
         -INT8_MAX, INT8_MAX))
 
+    scan_shape = (cfg.n_tokens, cfg.d_inner, cfg.d_state)
+    buffers = {d: (np.empty(scan_shape, np.int32), np.empty(scan_shape, np.int32))
+               for d in DIRECTIONS}
     block_in_exp = exp_n["tokens"]
-    for i in range(cfg.n_blocks):
-        branches = {}
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            seq = tokens if d == "fwd" else tokens[::-1]
-            xz = _matmul_layer(image, p + "in_proj", seq)
-            x_q = rec(p + "x", xz[:, :cfg.d_inner])
-            gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
+    with ThreadPoolExecutor(max_workers=1) as pool:  # its thread starts at the first submit
+        for i in range(cfg.n_blocks):
+            prefix = {d: f"blocks.{i}.{d}." for d in DIRECTIONS}
+            # one tap dict per direction keeps every fwd tap before the bwd ones
+            taps = {d: None if trace is None else {} for d in DIRECTIONS}
+            recs = {d: functools.partial(rec, taps=taps[d]) for d in DIRECTIONS}
+            gates, scan_in = {}, {}
+            for d, seq in zip(DIRECTIONS, (tokens, tokens[::-1])):
+                gates[d], scan_in[d] = _branch_in(image, prefix[d], seq, recs[d])
 
-            conv = image.tensors[p + "conv"]
-            conv_q = rec(p + "conv", depthwise_conv_int8(
-                x_q, _values(conv), conv.bias, conv.m, conv.k))
+            def scan(d):
+                return _scan_direction(image, prefix[d], *scan_in[d], *buffers[d])
 
-            su = lut_eval(image.luts["silu"], widen(conv_q, exp_n[p + "conv"], ACT_FRAC))
-            u_q = rec(p + "u", np.clip(
-                rhu_shift(su, SILU_OUT_FRAC - exp_n[p + "u"]), -INT8_MAX, INT8_MAX))
+            bwd = pool.submit(scan, "bwd") if threaded else None
+            scanned = {"fwd": scan("fwd"), "bwd": bwd.result() if bwd else scan("bwd")}
 
-            dbl = _matmul_layer(image, p + "x_proj", u_q)
-            dr, ds = cfg.dt_rank, cfg.d_state
-            dtr_q = rec(p + "dt_raw", dbl[:, :dr])
-            b_q = rec(p + "b", dbl[:, dr:dr + ds])
-            c_q = rec(p + "c", dbl[:, dr + ds:])
-            dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q))
+            branches = {}
+            for d in DIRECTIONS:
+                y_q, scan_stats = scanned[d]
+                stats += scan_stats
+                y_q = recs[d](prefix[d] + "y", y_q)
+                out = _branch_out(image, prefix[d], y_q, gates[d], recs[d])
+                branches[d] = recs[d](prefix[d] + "branch", out if d == "fwd" else out[::-1])
+                if trace is not None:
+                    trace.update(taps[d])
 
-            y_q = rec(p + "y", _scan_direction(image, i, d, u_q, b_q, c_q, dtp_q,
-                                               nw, stats))
-
-            sg = lut_eval(image.luts["silu"],
-                          widen(gate_q, exp_n[p + "gate"], ACT_FRAC))
-            gated = rec(p + "gated", np.clip(
-                rhu_shift(y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]),
-                -INT8_MAX, INT8_MAX))
-
-            out = _matmul_layer(image, p + "out_proj", gated)
-            branches[d] = rec(p + "branch", out if d == "fwd" else out[::-1])
-
-        nf = exp_n[f"blocks.{i}.fwd.branch"]
-        nb = exp_n[f"blocks.{i}.bwd.branch"]
-        n_fused = exp_n[f"blocks.{i}.fused"]
-        # the mean halves the sum: one more bit of shift
-        fused = rec(f"blocks.{i}.fused", _align_add(
-            branches["fwd"], nf, branches["bwd"], nb, n_fused - (cfg.fusion == "mean")))
-        tokens = rec(f"blocks.{i}.out", _align_add(
-            tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
-        block_in_exp = exp_n[f"blocks.{i}.out"]
+            nf = exp_n[f"blocks.{i}.fwd.branch"]
+            nb = exp_n[f"blocks.{i}.bwd.branch"]
+            n_fused = exp_n[f"blocks.{i}.fused"]
+            # the mean halves the sum: one more bit of shift
+            fused = rec(f"blocks.{i}.fused", _align_add(
+                branches["fwd"], nf, branches["bwd"], nb, n_fused - (cfg.fusion == "mean")))
+            tokens = rec(f"blocks.{i}.out", _align_add(
+                tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
+            block_in_exp = exp_n[f"blocks.{i}.out"]
 
     pool_acc = tokens.sum(axis=0)
     pooled = rec("pooled", np.clip(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from femba import cli
 from femba import container as ct
+from femba import engine as eng
 from femba import image as im
 from femba import model as fm
 
@@ -187,6 +189,24 @@ class TestInfer:
                            windows=tiny_archive, output=str(tmp_path / "x.fmbc"))
         assert run("infer", m) == 3
 
+    def test_scan_stats_line(self, tmp_path, capsys, image_w8, tiny_archive):
+        """Integer inference prints the scan statistics summed over windows."""
+        m = write_manifest(tmp_path, model=image_w8, mode="w8a8",
+                           windows=tiny_archive, output=str(tmp_path / "l.fmbc"))
+        assert run("infer", m) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("scan saturations:")]
+        assert len(lines) == 1
+        sat, steps, rate = re.fullmatch(
+            r"scan saturations: (\d+) of (\d+) steps \(rate (\S+)\)", lines[0]).groups()
+        img = im.load_image(image_w8)
+        want = eng.EngineStats()
+        for w in cli.load_windows(tiny_archive):
+            want += eng.engine_forward(img, w)[2]
+        assert (int(sat), int(steps)) == (want.scan_sat_events, want.scan_steps)
+        assert int(steps) == 6 * TINY.n_blocks * 2 * TINY.n_tokens * TINY.d_inner * TINY.d_state
+        assert float(rate) == pytest.approx(want.saturation_rate, rel=1e-3, abs=1e-12)
+
     def test_dump_layers(self, tmp_path, image_w8, tiny_archive):
         dump = tmp_path / "dump.fmbc"
         out = tmp_path / "l.fmbc"
@@ -253,6 +273,15 @@ class TestCorruptImage:
         flat[index] = value
         e.data = flat
         assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) in (2, 3)
+
+    def test_duplicate_entry_name_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        # a second config_f, whose payload would otherwise replace the first
+        image_w2.add("config_g", ct.DT_F32, np.array([1e-3, 5.0], dtype=np.float32))
+
+        def corrupt(blob):
+            assert blob.count(b"config_g") == 1
+            return blob.replace(b"config_g", b"config_f")
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive, corrupt) == 2
 
     def test_bad_entry_name_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
         def corrupt(blob):

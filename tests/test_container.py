@@ -64,6 +64,14 @@ def test_bad_entry_name_rejected():
         ct.Container.frombytes(bytes(blob))
 
 
+def test_duplicate_entry_name_rejected():
+    """Two entries of one name would load as one, the later payload winning."""
+    blob = sample_container().tobytes()
+    assert blob.count(b"c.i32") == 1 and len(b"c.i32") == len(b"a.f32")
+    with pytest.raises(ct.FormatError, match="duplicate name"):
+        ct.Container.frombytes(blob.replace(b"c.i32", b"a.f32"))
+
+
 @pytest.mark.parametrize("kind", [1, 2])
 def test_scale_kind_rejected(kind):
     """Entries carry no scale block; the retired kinds 1 (per-channel f32)

@@ -221,3 +221,106 @@ def test_non_finite_head_dequant_rejected():
     c.add("head.dequant", ct.DT_F32, dq)
     with pytest.raises(ct.FormatError, match="head.dequant"):
         im.load_image(c)
+
+
+# ---------------------------------------------------------------------------
+# the scan build at the ends of its int32 bounds
+
+def scan_stats(img, trace) -> eng.EngineStats:
+    """The scan statistics recomputed in int64 from the reference's taps:
+    bx values clipped to Q15, then steps of the recurrence that saturate."""
+    stats = eng.EngineStats()
+    n = img.act_exp
+    for i in range(img.cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            u, b, dtp = (trace[p + tap].astype(np.int64) for tap in ("u", "b", "dt_pre"))
+            a_mat = img.tensors[p + "a_mat"]
+            dt = ref._interp(img.luts["softplus"], ref._to_frac(dtp, n[p + "dt_pre"], 15))
+            abar = ref._interp(img.luts["exp"], scan_la(img, p, dt))
+            raw = ref._round_shift((dt * u)[:, :, None] * b[:, None, :],
+                                   eng.DT_FRAC + n[p + "u"] + n[p + "b"] - 15)
+            bx = np.clip(raw, eng.Q15_MIN, eng.Q15_MAX)
+            stats.scan_sat_events += int(np.count_nonzero(bx != raw))
+            h = np.zeros(bx.shape[1:], dtype=np.int64)
+            for t in range(bx.shape[0]):
+                v = ref._round_shift(abar[t] * h, 15) + bx[t]
+                h = np.clip(v, eng.Q15_MIN, eng.Q15_MAX)
+                stats.scan_sat_events += int(np.count_nonzero(h != v))
+            stats.scan_steps += bx.size
+    return stats
+
+
+def scan_la(img, p, dt):
+    """The exp LUT input of branch p, before it is clipped to the domain."""
+    a_mat = img.tensors[p + "a_mat"]
+    return ref._round_shift(dt[:, :, None] * ref._dense(a_mat)[None]
+                            * a_mat.m[None, :, None], a_mat.k)
+
+
+def assert_scan_agrees(img, windows):
+    """Engine = reference tap for tap, and the engine's scan statistics, for
+    one and for two threads, equal the int64 recount. Returns the recount."""
+    total = eng.EngineStats()
+    for win in windows:
+        tr_r = {}
+        ref.reference_int_forward(img, win, trace=tr_r)
+        want = scan_stats(img, tr_r)
+        for workers in (1, 2):
+            tr_e = {}
+            _, _, got = eng.engine_forward(img, win, workers=workers, trace=tr_e)
+            assert list(tr_e) == list(tr_r)
+            for tap in tr_r:
+                np.testing.assert_array_equal(tr_e[tap], tr_r[tap], err_msg=tap)
+            assert got == want
+        total += want
+    return total
+
+
+@pytest.mark.parametrize("n_u,n_b", [(0, 0), (0, 4), (6, 24), (7, 24), (24, 24)],
+                         ids=["shift-4", "shift0", "shift30", "shift31", "shift44"])
+@pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+def test_bx_shift_at_int32_bounds(cfg, n_u, n_b):
+    """bx = rhu(dt * u * b, DT_FRAC + n_u + n_b - 15) at shift -4 (a left
+    shift, whose products saturate), 0, 30 (the widest int32 rounding), 31
+    (the first shift that gives 0) and 44 (the largest)."""
+    c = build(cfg, "w8a8")
+    taps = fm.quant_points(cfg)
+    exps = c.array("act_exponents").copy()
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            exps[taps.index(f"blocks.{i}.{d}.u")] = n_u
+            exps[taps.index(f"blocks.{i}.{d}.b")] = n_b
+    c.add("act_exponents", ct.DT_I8, exps)
+    img = im.load_image(c)
+    stats = assert_scan_agrees(img, make_windows(cfg, 2, seed=7) +
+                               make_windows(cfg, 1, seed=8, scale=1e3))
+    if n_u + n_b == 0:
+        assert stats.scan_sat_events > 0
+
+
+@pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+def test_la_past_both_ends_of_exp_domain(cfg):
+    """a_mat of both signs with shift k = 0 makes the step products of these
+    dt_pre values land far below the exp domain and far above it (its top is
+    0); zero entries of a_mat keep some inside it."""
+    c = build(cfg, "w8a8")
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            q = c.array(p + "a_mat.q").copy()
+            q[:, 0::3], q[:, 1::3], q[:, 2::3] = 127, -127, 0
+            c.add(p + "a_mat.q", ct.DT_I8, q)
+            c.add(p + "a_mat.k", ct.DT_I8, np.zeros(1, dtype=np.int8))
+    img = im.load_image(c)
+    windows = make_windows(cfg, 2, seed=9) + make_windows(cfg, 1, seed=10, scale=1e3)
+    assert_scan_agrees(img, windows)
+    exp = img.luts["exp"]
+    tr = {}
+    ref.reference_int_forward(img, windows[0], trace=tr)
+    p = "blocks.0.fwd."
+    dt = ref._interp(img.luts["softplus"],
+                     ref._to_frac(tr[p + "dt_pre"], img.act_exp[p + "dt_pre"], 15))
+    la = scan_la(img, p, dt)
+    assert la.min() < exp.lo_fixed and la.max() > exp.lo_fixed + exp.dense.size - 1
+    assert np.any(la == 0)
