@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input format error, 3 configuration/shape error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,12 +35,13 @@ EXIT_CONFIG = 3
 EXIT_PLAN = 4
 
 
+# fakequant runs any model in float arithmetic: a checkpoint as is, an
+# image through its float view
+INFER_MODES = (*qz.MODES, "fakequant")
+
+
 class CliConfigError(ValueError):
     pass
-
-
-def _workers() -> int:
-    return eng.worker_count(None)
 
 
 def save_windows(path, windows: list[np.ndarray]):
@@ -73,12 +75,13 @@ def cmd_preprocess(args) -> int:
     kw = {}
     if args.config:
         with open(args.config) as f:
-            cfgmap = ss.parse_config_text(f.read())
-        for field in ("bandpass_lo_hz", "bandpass_hi_hz", "notch_hz", "notch_q",
-                      "target_rate_hz", "iqr_scope"):
-            if field in cfgmap:
-                kw[field] = cfgmap[field]
-    kw["iqr_scope"] = args.iqr_scope if args.iqr_scope else kw.get("iqr_scope", "window")
+            kw = ss.parse_config_text(f.read())
+        unknown = kw.keys() - {f.name for f in dataclasses.fields(sigp.PreprocessConfig)}
+        if unknown:
+            raise CliConfigError("preprocess config: unknown key "
+                                 + ", ".join(map(repr, sorted(unknown))))
+    if args.iqr_scope:
+        kw["iqr_scope"] = args.iqr_scope
     cfg = sigp.PreprocessConfig(**kw)
     windows, provenance = sigp.preprocess_recording(sigp.RawRecording(samples, rate), cfg)
     save_windows(args.output, [w.data for w in windows])
@@ -125,8 +128,8 @@ def _load_manifest(path) -> dict:
     for key in ("model", "mode", "windows", "output"):
         if key not in manifest:
             raise CliConfigError(f"manifest missing {key!r}")
-    if manifest["mode"] not in qz.MODES:
-        raise CliConfigError(f"manifest mode must be one of {qz.MODES}")
+    if manifest["mode"] not in INFER_MODES:
+        raise CliConfigError(f"manifest mode must be one of {INFER_MODES}")
     for key in ("model", "windows"):
         if not os.path.exists(manifest[key]):
             raise CliConfigError(f"manifest {key} file {manifest[key]!r} does not exist")
@@ -148,12 +151,12 @@ def cmd_infer(args) -> int:
         if model_mode != "fp32":
             raise CliConfigError(f"mode {mode!r} needs a float checkpoint, got {model_mode!r}")
         weights, cfg = im.load_checkpoint(manifest["model"])
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        with ThreadPoolExecutor(max_workers=eng.worker_count()) as pool:
             logits = list(pool.map(lambda w: fm.forward(w, weights, cfg), windows))
         out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
     elif mode == "fakequant":
         img = im.load_image(model_c)
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        with ThreadPoolExecutor(max_workers=eng.worker_count()) as pool:
             logits = list(pool.map(lambda w: ref.fakequant_float_from_image(img, w), windows))
         out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
     else:
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="memory-streaming cycle simulation")
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--mode", choices=ss.MODES, default="w8a8")
+    sp.add_argument("--mode", choices=qz.MODES, default="w8a8")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bench)

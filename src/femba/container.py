@@ -4,11 +4,15 @@ All fields little-endian. The tensor container holds named, typed payloads and
 a trailing CRC32 over the payload region, so a write -> read -> write cycle is
 byte-identical. Entry names are unique: the parser rejects a repeated name
 rather than let one payload replace another. Each entry keeps a scale-kind
-byte, always 0 (no scale block); the parser rejects any other value.
+byte, always 0 (no scale block); the parser rejects any other value. An
+entry's payload is exactly `payload_size(dtype, dims)` bytes, in both the
+writer and the parser: `DTYPES` gives each dtype's bits per element and
+storage word.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -25,13 +29,33 @@ DT_T2 = 2  # ternary, 16 two-bit fields per 32-bit word
 DT_Q15 = 3  # 16-bit fixed point
 DT_I32 = 4
 
-_DTYPE_NP = {
-    DT_F32: np.dtype("<f4"),
-    DT_I8: np.dtype("i1"),
-    DT_T2: np.dtype("<u4"),
-    DT_Q15: np.dtype("<i2"),
-    DT_I32: np.dtype("<i4"),
+
+@dataclass(frozen=True)
+class DType:
+    """How a dtype tag is stored: ``bits`` per logical element, packed
+    into little-endian words of numpy dtype ``np``."""
+    np: np.dtype
+    name: str
+    bits: int
+
+
+DTYPES = {
+    DT_F32: DType(np.dtype("<f4"), "f32", 32),
+    DT_I8: DType(np.dtype("i1"), "i8", 8),
+    DT_T2: DType(np.dtype("<u4"), "t2", 2),
+    DT_Q15: DType(np.dtype("<i2"), "q15", 16),
+    DT_I32: DType(np.dtype("<i4"), "i32", 32),
 }
+
+
+def payload_size(dtype: int, dims) -> int:
+    """Bytes of the payload of an entry of ``dtype`` and logical ``dims``:
+    the elements' bits rounded up to whole words (exact in Python ints, so
+    no product of dims wraps)."""
+    dt = DTYPES[dtype]
+    word_bits = 8 * dt.np.itemsize
+    return -(-math.prod(dims) * dt.bits // word_bits) * dt.np.itemsize
+
 
 _ALIGN = 8
 
@@ -48,7 +72,7 @@ class Entry:
     data: np.ndarray  # stored dtype, flat or shaped
 
     def payload_bytes(self) -> bytes:
-        arr = np.ascontiguousarray(self.data, dtype=_DTYPE_NP[self.dtype])
+        arr = np.ascontiguousarray(self.data, dtype=DTYPES[self.dtype].np)
         return arr.tobytes()
 
 
@@ -57,19 +81,18 @@ class Container:
     entries: dict[str, Entry] = field(default_factory=dict)
 
     def add(self, name, dtype, data, dims=None):
+        """Add ``data``, the stored words (for t2 the packed words), under
+        the logical ``dims`` (default: the array's shape)."""
         data = np.asarray(data)
         if dims is None:
             dims = data.shape if data.shape else (1,)
-        if dtype == DT_T2:
-            # packed payload: dims describe the logical tensor, payload is words
-            payload = np.ascontiguousarray(data, dtype=np.uint32)
-        else:
-            payload = np.ascontiguousarray(data, dtype=_DTYPE_NP[dtype])
-            expected = int(np.prod(dims))
-            if payload.size != expected:
-                raise FormatError(
-                    f"entry {name!r}: payload has {payload.size} elements, dims imply {expected}")
-        e = Entry(name=name, dtype=dtype, dims=tuple(int(d) for d in dims), data=payload)
+        dims = tuple(int(d) for d in dims)
+        payload = np.ascontiguousarray(data, dtype=DTYPES[dtype].np)
+        want = payload_size(dtype, dims)
+        if payload.nbytes != want:
+            raise FormatError(
+                f"entry {name!r}: payload of {payload.nbytes} B, dims {dims} imply {want} B")
+        e = Entry(name=name, dtype=dtype, dims=dims, data=payload)
         self.entries[name] = e
         return e
 
@@ -155,7 +178,7 @@ class Container:
                 raise FormatError(f"entry {name!r}: scale kind {skind}, only 0 (none) "
                                   f"is supported (at byte {pos})")
             pos += 17
-            if dtype not in _DTYPE_NP:
+            if dtype not in DTYPES:
                 raise FormatError(f"entry {name!r}: unknown dtype tag {dtype}")
             metas.append((name, dtype, dims, off, ln))
 
@@ -173,18 +196,12 @@ class Container:
                 if off < o2 + l2 and o2 < off + ln:
                     raise FormatError(f"entry {name!r}: overlapping payload")
             seen.append((off, ln))
-            np_dt = _DTYPE_NP[dtype]
-            count = ln // np_dt.itemsize
-            logical = int(np.prod(dims)) if dims else 1
-            if dtype == DT_T2:
-                want_words = (logical + 15) // 16
-                if count != want_words:
-                    raise FormatError(
-                        f"entry {name!r}: t2 payload {count} words, dims imply {want_words}")
-            elif count != logical:
+            want = payload_size(dtype, dims)
+            if ln != want:
                 raise FormatError(
-                    f"entry {name!r}: payload {count} elements, dims imply {logical}")
-            data = np.frombuffer(region, dtype=np_dt, count=count, offset=off).copy()
+                    f"entry {name!r}: payload of {ln} B, dims {dims} imply {want} B")
+            dt = DTYPES[dtype].np
+            data = np.frombuffer(region, dtype=dt, count=ln // dt.itemsize, offset=off).copy()
             c.entries[name] = Entry(name=name, dtype=dtype, dims=tuple(dims), data=data)
         return c
 

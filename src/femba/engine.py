@@ -148,14 +148,6 @@ class Lut:
     out_frac: int
     step_shift: int
 
-    @property
-    def domain_lo(self) -> float:
-        return self.lo_fixed / (1 << self.in_frac)
-
-    @property
-    def domain_hi(self) -> float:
-        return (self.lo_fixed + (LUT_SIZE - 1) * (1 << self.step_shift)) / (1 << self.in_frac)
-
     @functools.cached_property
     def segments(self) -> np.ndarray:
         """(LUT_SIZE, 2) int32: each entry and its difference to the next.

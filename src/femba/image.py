@@ -105,7 +105,7 @@ def _config_from_vec(vec: np.ndarray, fvec: np.ndarray) -> tuple[fm.ModelConfig,
                              dt_min=float(fvec[0]), dt_max=float(fvec[1]))
     except ValueError as exc:
         raise ct.FormatError(f"config: {exc}") from exc
-    return cfg, qz.MODES[mode]
+    return cfg, list(qz.MODES)[mode]
 
 
 def save_checkpoint(weights: fm.FembaWeights, cfg: fm.ModelConfig, path):
@@ -189,12 +189,15 @@ class EngineImage:
     luts: dict[str, eng.Lut]
 
 
+# the container dtype that stores a weight of each bit width
+# (`quantizer.MODES`); 4-bit weights take a byte each
+WEIGHT_DTYPE = {32: ct.DT_F32, 8: ct.DT_I8, 4: ct.DT_I8, 2: ct.DT_T2}
+
+
 def _add_weight(c: ct.Container, name: str, qt: qz.QuantizedTensor):
-    if qt.bits == 2:
-        packed = qz.pack_ternary(qt.q, qt.scales)
-        c.add(name + ".q", ct.DT_T2, packed.words, dims=qt.q.shape)
-    else:
-        c.add(name + ".q", ct.DT_I8, qt.q.astype(np.int8))
+    dtype = WEIGHT_DTYPE[qt.bits]
+    data = qz.pack_ternary(qt.q) if dtype == ct.DT_T2 else qt.q
+    c.add(name + ".q", dtype, data, dims=qt.q.shape)
 
 
 def _add_mk(c: ct.Container, name: str, m: np.ndarray, k: int):
@@ -395,13 +398,11 @@ def image_summary(c: ct.Container) -> str:
     """Per-tensor bits and sizes plus the total image size, as a text table."""
     lines = [f"{'entry':<34} {'dtype':>6} {'bits':>4} {'elems':>10} {'bytes':>10}"]
     total = 0
-    dtype_names = {ct.DT_F32: "f32", ct.DT_I8: "i8", ct.DT_T2: "t2",
-                   ct.DT_Q15: "q15", ct.DT_I32: "i32"}
-    bits = {ct.DT_F32: 32, ct.DT_I8: 8, ct.DT_T2: 2, ct.DT_Q15: 16, ct.DT_I32: 32}
     for name, e in c.entries.items():
-        nbytes = len(e.payload_bytes())
+        dt = ct.DTYPES[e.dtype]
+        nbytes = ct.payload_size(e.dtype, e.dims)
         total += nbytes
-        lines.append(f"{name:<34} {dtype_names[e.dtype]:>6} {bits[e.dtype]:>4} "
-                     f"{int(np.prod(e.dims)):>10} {nbytes:>10}")
+        lines.append(f"{name:<34} {dt.name:>6} {dt.bits:>4} "
+                     f"{math.prod(e.dims):>10} {nbytes:>10}")
     lines.append(f"{'TOTAL payload':<34} {'':>6} {'':>4} {'':>10} {total:>10}")
     return "\n".join(lines)

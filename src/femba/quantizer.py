@@ -19,7 +19,9 @@ import numpy as np
 
 from . import model as fm
 
-MODES = ("fp32", "w8a8", "w4a8", "w2a8", "fakequant")
+# every deployment mode and the bits of its weights; a mode's position is
+# its index in an image's config
+MODES = {"fp32": 32, "w8a8": 8, "w4a8": 4, "w2a8": 2}
 MAX_EXPONENT = 24  # finest activation grid 2^-24; image.load_image holds images to it
 DEFAULT_CLIP_PCT = 99.9
 
@@ -43,19 +45,6 @@ class QuantizedTensor:
     def dequant(self) -> np.ndarray:
         shape = (-1,) + (1,) * (self.q.ndim - 1)
         return self.q.astype(np.float64) * self.scales.reshape(shape)
-
-
-@dataclass
-class TernaryPacked:
-    """{-1,0,+1} weights as 2-bit fields ({-1,0,+1} -> {0,1,2}), 16 per word.
-
-    Weight i occupies bits [2i mod 32, 2i mod 32 + 1] of word i // 16,
-    first weight in the least-significant bits.
-    """
-    words: np.ndarray  # uint32
-    count: int
-    shape: tuple[int, ...]
-    scales: np.ndarray
 
 
 def quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
@@ -97,9 +86,12 @@ def ternarize(w: np.ndarray, threshold_factor: float = 0.7) -> QuantizedTensor:
     return QuantizedTensor(q.reshape(w.shape), scales, 2)
 
 
-def pack_ternary(q: np.ndarray, scales: np.ndarray | None = None) -> TernaryPacked:
-    q = np.asarray(q)
-    flat = q.reshape(-1).astype(np.int64)
+def pack_ternary(q: np.ndarray) -> np.ndarray:
+    """{-1,0,+1} weights as 2-bit fields ({-1,0,+1} -> {0,1,2}), 16 per
+    uint32 word: weight i of the flattened array occupies bits
+    [2i mod 32, 2i mod 32 + 1] of word i // 16, first weight in the
+    least-significant bits. Padding fields encode 0."""
+    flat = np.asarray(q).reshape(-1).astype(np.int64)
     if flat.size and (flat.min() < -1 or flat.max() > 1):
         raise ValueError("ternary values must be in {-1, 0, +1}")
     enc = (flat + 1).astype(np.uint64)  # {-1,0,1} -> {0,1,2}
@@ -108,21 +100,18 @@ def pack_ternary(q: np.ndarray, scales: np.ndarray | None = None) -> TernaryPack
     padded[:flat.size] = enc
     fields = padded.reshape(n_words, 16)
     shifts = (2 * np.arange(16, dtype=np.uint64))
-    words = (fields << shifts).sum(axis=1).astype(np.uint32)
-    if scales is None:
-        scales = np.ones(q.shape[0] if q.ndim > 1 else 1)
-    return TernaryPacked(words, flat.size, tuple(q.shape), np.asarray(scales, np.float64))
+    return (fields << shifts).sum(axis=1).astype(np.uint32)
 
 
-def unpack_ternary(packed: TernaryPacked) -> np.ndarray:
-    words = packed.words.astype(np.uint64)
+def unpack_ternary(words: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The int8 array of ``shape`` that `pack_ternary` packed into ``words``."""
+    count = math.prod(shape)
+    words = np.asarray(words).astype(np.uint64)
     shifts = (2 * np.arange(16, dtype=np.uint64))
-    fields = (words[:, None] >> shifts) & np.uint64(3)
-    vals = fields.astype(np.int8) - 1
-    flat = vals.reshape(-1)[:packed.count]
-    if np.any(fields.reshape(-1)[:packed.count] > 2):
+    fields = ((words[:, None] >> shifts) & np.uint64(3)).reshape(-1)[:count]
+    if np.any(fields > 2):
         raise ValueError("invalid 2-bit field value 3")
-    return flat.reshape(packed.shape)
+    return (fields.astype(np.int8) - 1).reshape(shape)
 
 
 @dataclass
@@ -265,11 +254,11 @@ def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
                    precision_overrides: dict[str, int] | None = None,
                    run_bias_correct: bool = False) -> QuantArtifacts:
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+        raise ValueError(f"mode must be one of {tuple(MODES)}")
     art = QuantArtifacts(cfg=cfg, mode=mode)
     if mode == "fp32":
         return art
-    bits = {"w8a8": 8, "w4a8": 4, "w2a8": 2, "fakequant": 8}[mode]
+    bits = MODES[mode]
     overrides = precision_overrides or {}
     for name, arr in weight_arrays(weights, cfg).items():
         b = overrides.get(name, bits)

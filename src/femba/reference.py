@@ -35,9 +35,7 @@ def _clip8(v):
 
 def _dense(t: im.QTensor) -> np.ndarray:
     if t.kind == "t2":
-        packed = qz.TernaryPacked(t.words, t.shape[0] * t.shape[1], t.shape,
-                                  np.ones(t.shape[0]))
-        return qz.unpack_ternary(packed).astype(np.int64)
+        return qz.unpack_ternary(t.words, t.shape).astype(np.int64)
     return t.q.astype(np.int64)
 
 

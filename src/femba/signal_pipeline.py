@@ -250,7 +250,6 @@ class PreprocessConfig:
     bandpass_hi_hz: float = 75.0
     notch_hz: float = 60.0
     notch_q: float = 30.0
-    target_rate_hz: float = TARGET_RATE_HZ
     iqr_scope: str = "window"  # "window" | "recording"
 
 
@@ -267,8 +266,8 @@ def preprocess_recording(rec: RawRecording, cfg: PreprocessConfig = PreprocessCo
     x = bandpass(x, rec.sample_rate_hz, cfg.bandpass_lo_hz, cfg.bandpass_hi_hz)
     if cfg.notch_hz:
         x = notch(x, rec.sample_rate_hz, cfg.notch_hz, cfg.notch_q)
-    x = resample(x, rec.sample_rate_hz, cfg.target_rate_hz)
-    windows = segment(RawRecording(x, cfg.target_rate_hz))
+    x = resample(x, rec.sample_rate_hz, TARGET_RATE_HZ)
+    windows = segment(RawRecording(x, TARGET_RATE_HZ))
 
     rec_q = channel_quartiles(x) if cfg.iqr_scope == "recording" else None
     out, provenance = [], []

@@ -1,11 +1,11 @@
 """Memory-streaming simulator with a MACs/cycle cost model.
 
 Models the double-buffered weight path of the target device: the tensors of
-a deployment image (`quantizer.tensor_shapes`, at the mode's bytes per
-weight) stream from off-chip storage to on-chip L2 in fixed-size chunks
-while the cores compute on the previous chunk. Produces per-layer and
-per-sub-operation cycle breakdowns, compute/transfer overlap, latency, and
-energy.
+a deployment image (`quantizer.tensor_shapes`, each of the size the image
+stores it at, `container.payload_size` of the mode's weight dtype) stream
+from off-chip storage to on-chip L2 in fixed-size chunks while the cores
+compute on the previous chunk. Produces per-layer and per-sub-operation
+cycle breakdowns, compute/transfer overlap, latency, and energy.
 
 Pipeline model per layer: chunks (c_i = compute cycles, t_i = transfer
 cycles) execute as t_0 + sum_i max(c_i, t_{i+1}); the leading fill transfer
@@ -26,10 +26,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 
+from .container import payload_size
+from .image import WEIGHT_DTYPE
 from .model import ModelConfig
-from .quantizer import tensor_shapes
+from .quantizer import MODES, tensor_shapes
 
-MODES = ("fp32", "w8a8", "w4a8", "w2a8")
 SUB_OP_ORDER = ("input_proj", "seq_reversal_fwd", "conv", "scan",
                 "output_proj", "seq_reversal_bwd", "fusion")
 SUB_OP_TITLES = {
@@ -105,15 +106,6 @@ def mac_count(cfg: ModelConfig, cm: CostModel = CostModel()) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # model -> streamable tensors
 
-_BYTES_PER_WEIGHT = {"fp32": 4, "w8a8": 1, "w4a8": 1}
-
-
-def _weight_bytes(elems: int, mode: str) -> int:
-    if mode == "w2a8":  # 16 ternary weights per 32-bit word
-        return ((elems + 15) // 16) * 4
-    return elems * _BYTES_PER_WEIGHT[mode]
-
-
 @dataclass(frozen=True)
 class SubOp:
     name: str
@@ -138,13 +130,14 @@ def model_layers(cfg: ModelConfig, cm: CostModel, mode: str = "w8a8") -> list[La
     """Layer/sub-op schedule for the full encoder in report order; every
     tensor of the image streams under its sub-op, in `tensor_shapes` order."""
     macs = mac_count(cfg, cm)
+    dtype = WEIGHT_DTYPE[MODES[mode]]  # fp32 streams the checkpoint's f32 tensors
     streamed: dict[tuple[str, str], list] = {}  # (layer, sub-op) -> tensors
     for name, (rows, cols) in tensor_shapes(cfg):
         parts = name.split(".")
         sub = _TENSOR_SUB_OP[parts[-1]]
         owner = f"mamba_blocks.{parts[1]}" if parts[0] == "blocks" else sub
         streamed.setdefault((owner, sub), []).append(
-            (name, _weight_bytes(rows * cols, mode), _weight_bytes(cols, mode)))
+            (name, payload_size(dtype, (rows, cols)), payload_size(dtype, (cols,))))
 
     def layer(name: str, sub_ops=None) -> LayerPlanSpec:
         subs = []

@@ -124,12 +124,12 @@ def test_criterion_5_ternary_equivalence():
         d_out, d_in = int(rng.integers(1, 10)), int(rng.integers(1, 50))
         rows = int(rng.integers(1, 80))
         q = rng.integers(-1, 2, size=(d_out, d_in)).astype(np.int8)
-        packed = qz.pack_ternary(q)
+        words = qz.pack_ternary(q)
         act = rng.integers(-127, 128, size=(rows, d_in))
         bias = rng.integers(-1000, 1000, size=d_out)
         m = rng.integers(1, 32768, size=d_out)
         k = int(rng.integers(4, 20))
-        got = eng.ternary_matmul(act, packed.words, (d_out, d_in), bias, m, k)
+        got = eng.ternary_matmul(act, words, (d_out, d_in), bias, m, k)
         want = eng.int8_matmul(act, q, bias, m, k)
         assert np.array_equal(got, want)
         cases += rows * d_out
@@ -144,10 +144,8 @@ def test_criterion_5_ternary_equivalence():
         his = half[lo:lo + 81]
         words = ((his[:, None].astype(np.uint64) << 16) | half[None, :]) \
             .astype(np.uint32).reshape(-1)
-        packed = qz.TernaryPacked(words, 16 * words.size, (words.size, 16),
-                                  np.ones(1))
-        q = qz.unpack_ternary(packed)
-        assert np.array_equal(qz.pack_ternary(q).words, words)
+        q = qz.unpack_ternary(words, (words.size, 16))
+        assert np.array_equal(qz.pack_ternary(q), words)
         total += words.size
     assert total == 3 ** 16
     elapsed = time.perf_counter() - t0

@@ -82,6 +82,18 @@ class TestPreprocess:
         out = tmp_path / "w.fmbc"
         assert run("preprocess", rec, out, "--config", cfgf) == 0
         assert cli.load_windows(out).shape == (1, 22, 1280)
+        assert run("preprocess", rec, tmp_path / "d.fmbc") == 0
+        assert not np.array_equal(cli.load_windows(out), cli.load_windows(tmp_path / "d.fmbc"))
+
+    @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128"])
+    def test_unknown_config_key_exit_3(self, tmp_path, capsys, line):
+        rec = tmp_path / "rec.sig"
+        ct.write_recording(rec, np.random.default_rng(2).normal(0, 10, (22, 1280)), 256.0)
+        cfgf = tmp_path / "pp.cfg"
+        cfgf.write_text(line + "\n")
+        assert run("preprocess", rec, tmp_path / "w.fmbc", "--config", cfgf) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(line.split()[0]) in err
 
 
 _UNCLOSED_FILE_FAILS = pytest.mark.filterwarnings(
@@ -122,6 +134,13 @@ class TestQuantize:
         img = im.load_image(str(out8))
         assert img.mode == "w8a8"
         assert out2.stat().st_size < out8.stat().st_size
+
+    def test_fakequant_is_no_image_mode(self, tmp_path, capsys, tiny_checkpoint, tiny_archive):
+        with pytest.raises(SystemExit) as exc:
+            run("quantize", tiny_checkpoint, tmp_path / "x.fmbc", "--mode", "fakequant",
+                "--calib", tiny_archive)
+        assert exc.value.code == 2
+        assert "invalid choice: 'fakequant'" in capsys.readouterr().err
 
     def test_missing_calib_exit_3(self, tmp_path, tiny_checkpoint):
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",
@@ -256,6 +275,7 @@ class TestCorruptImage:
         ("config", 11, 7),      # fusion index past the fusion modes
         ("config", 11, 2),      # concat_project
         ("config", 12, 9),      # mode index past the modes
+        ("config", 12, 4),      # fakequant, no longer an image mode
         ("config", 12, -1),
         ("config", 0, 9),       # d_model against the entry dims
         ("config", 4, 2**31 - 1),  # n_blocks
@@ -282,6 +302,12 @@ class TestCorruptImage:
             assert blob.count(b"config_g") == 1
             return blob.replace(b"config_g", b"config_f")
         assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive, corrupt) == 2
+
+    def test_wrapped_dims_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
+        # empty, and dims whose product wraps to 0 in int64
+        image_w2.entries["act_exponents"] = ct.Entry(
+            "act_exponents", ct.DT_I8, (65536,) * 4, np.zeros(0, dtype=np.int8))
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
 
     def test_bad_entry_name_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
         def corrupt(blob):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,45 @@ def test_dims_payload_mismatch_rejected():
     c = ct.Container()
     with pytest.raises(ct.FormatError):
         c.add("x", ct.DT_F32, np.zeros(3, dtype=np.float32), dims=(4,))
+
+
+def test_t2_word_count_checked_by_add():
+    """20 ternary weights take two words; the parser rejects any other
+    count, so the writer does too."""
+    c = ct.Container()
+    for words in (1, 3):
+        with pytest.raises(ct.FormatError, match="imply 8 B"):
+            c.add("t", ct.DT_T2, np.zeros(words, dtype=np.uint32), dims=(2, 10))
+    c.add("t", ct.DT_T2, np.zeros(2, dtype=np.uint32), dims=(2, 10))
+
+
+def test_payload_size_rule():
+    assert ct.payload_size(ct.DT_F32, (3, 4)) == 48
+    assert ct.payload_size(ct.DT_I8, (10,)) == 10
+    assert ct.payload_size(ct.DT_Q15, (3,)) == 6
+    assert ct.payload_size(ct.DT_I32, ()) == 4
+    assert [ct.payload_size(ct.DT_T2, (n,)) for n in (0, 1, 16, 17, 32)] == [0, 4, 4, 8, 8]
+    assert ct.payload_size(ct.DT_T2, (2, 10)) == ct.payload_size(ct.DT_T2, (20,))
+
+
+def test_wrapped_dims_rejected():
+    """The dims' product is 2^64, which an int64 product wraps to 0, the
+    element count of an empty payload."""
+    c = ct.Container()
+    c.entries["w"] = ct.Entry("w", ct.DT_F32, (65536,) * 4, np.zeros(0, dtype=np.float32))
+    with pytest.raises(ct.FormatError, match="imply"):
+        ct.Container.frombytes(c.tobytes())
+
+
+def test_stray_payload_byte_rejected():
+    """A q15 payload of 7 bytes holds 3 elements and one stray byte; the
+    region has room for it, as the next entry starts at an 8-byte boundary."""
+    blob = bytearray(sample_container().tobytes())
+    at = blob.index(b"d.q15") + len(b"d.q15") + 2 + 4 + 1 + 8  # its payload length
+    assert struct.unpack_from("<Q", blob, at) == (6,)
+    struct.pack_into("<Q", blob, at, 7)
+    with pytest.raises(ct.FormatError, match="payload of 7 B"):
+        ct.Container.frombytes(bytes(blob))
 
 
 def test_missing_entry():

@@ -197,11 +197,11 @@ class TestTernaryMatmul:
         for _ in range(100):
             d_out, d_in = int(rng.integers(1, 9)), int(rng.integers(1, 40))
             q = rng.integers(-1, 2, size=(d_out, d_in)).astype(np.int8)
-            packed = qz.pack_ternary(q)
+            words = qz.pack_ternary(q)
             act = rng.integers(-127, 128, size=(100, d_in))
             bias = rng.integers(-500, 500, size=d_out)
             m = rng.integers(1, 32768, size=d_out)
-            got = eng.ternary_matmul(act, packed.words, (d_out, d_in), bias, m, 10)
+            got = eng.ternary_matmul(act, words, (d_out, d_in), bias, m, 10)
             want = eng.int8_matmul(act, q, bias, m, 10)
             np.testing.assert_array_equal(got, want)
 
@@ -212,31 +212,31 @@ class TestTernaryMatmul:
         q = rng.integers(-1, 2, size=(3, d_in)).astype(np.int8)
         q[0] = np.sign(act[0])  # every product +127: the largest sum
         q[1] = -1
-        packed = qz.pack_ternary(q)
+        words = qz.pack_ternary(q)
         exact = act.astype(np.int64) @ q.astype(np.int64).T
         assert exact[0, 0] == d_in * 127
         offsets = np.arange(-1, 2)
         for t in range(act.shape[0]):
-            got = eng.ternary_matmul(act[t:t + 1], packed.words, q.shape,
+            got = eng.ternary_matmul(act[t:t + 1], words, q.shape,
                                      offsets - exact[t], np.ones(3), 0)
             np.testing.assert_array_equal(got[0], offsets)
 
     def test_all_zero_weights_bias_only(self):
-        packed = qz.pack_ternary(np.zeros((2, 16), dtype=np.int8))
+        words = qz.pack_ternary(np.zeros((2, 16), dtype=np.int8))
         act = np.ones((1, 16), dtype=np.int64) * 50
         bias = np.array([640, -320])
-        out = eng.ternary_matmul(act, packed.words, (2, 16), bias, np.array([1, 1]), 6)
+        out = eng.ternary_matmul(act, words, (2, 16), bias, np.array([1, 1]), 6)
         np.testing.assert_array_equal(out[0], [10, -5])
 
     def test_alternating_weights_telescoping(self):
         q = np.tile([1, -1], 8).astype(np.int8)[None, :]  # sums to 0
-        packed = qz.pack_ternary(q)
+        words = qz.pack_ternary(q)
         act = np.ones((1, 16), dtype=np.int64)
-        out = eng.ternary_matmul(act, packed.words, (1, 16), None, np.array([1]), 0)
+        out = eng.ternary_matmul(act, words, (1, 16), None, np.array([1]), 0)
         assert out[0, 0] == 0
         q2 = np.array([[1] * 9 + [-1] * 7], dtype=np.int8)  # sums to 2
-        packed2 = qz.pack_ternary(q2)
-        out2 = eng.ternary_matmul(act, packed2.words, (1, 16), None, np.array([1]), 0)
+        words2 = qz.pack_ternary(q2)
+        out2 = eng.ternary_matmul(act, words2, (1, 16), None, np.array([1]), 0)
         assert out2[0, 0] == 2
 
 

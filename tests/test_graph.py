@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from femba import container as ct
 from femba import engine as eng
 from femba import image as im
 from femba import model as fm
@@ -78,3 +79,16 @@ def test_streamsim_streams_the_image_tensors(cfg, mode):
     assert {ch.tensor for ch in plan.chunks} == img.tensors.keys()
     assert sum(ch.nbytes for ch in plan.chunks) == \
         sum(len(c.get(name + ".q").payload_bytes()) for name in img.tensors)
+    # each tensor streams the bytes the container size rule gives its entry
+    for name, nbytes, _ in (t for layer in layers for sub in layer.sub_ops
+                            for t in sub.tensors):
+        e = c.get(name + ".q")
+        assert nbytes == ct.payload_size(e.dtype, e.dims) == len(e.payload_bytes()), name
+
+
+@pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+def test_streamsim_streams_fp32_at_four_bytes_per_weight(cfg):
+    layers = ss.model_layers(cfg, ss.CostModel(), "fp32")
+    streamed = {t[0]: t[1:] for layer in layers for sub in layer.sub_ops for t in sub.tensors}
+    assert streamed == {name: (4 * rows * cols, 4 * cols)
+                        for name, (rows, cols) in qz.tensor_shapes(cfg)}

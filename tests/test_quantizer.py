@@ -62,27 +62,27 @@ class TestTernarize:
 
 class TestPacking:
     def test_first_byte_layout(self):
-        packed = qz.pack_ternary(np.array([-1, 0, 1, 1]))
-        assert packed.words[0] & 0xFF == 0xA4
+        words = qz.pack_ternary(np.array([-1, 0, 1, 1]))
+        assert words[0] & 0xFF == 0xA4
 
     def test_sixteen_zeros(self):
-        packed = qz.pack_ternary(np.zeros(16, dtype=np.int8))
-        assert packed.words[0] == 0x55555555
+        words = qz.pack_ternary(np.zeros(16, dtype=np.int8))
+        assert words[0] == 0x55555555
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 200))
             q = rng.integers(-1, 2, size=n).astype(np.int8)
-            packed = qz.pack_ternary(q)
-            np.testing.assert_array_equal(qz.unpack_ternary(packed), q)
+            words = qz.pack_ternary(q)
+            np.testing.assert_array_equal(qz.unpack_ternary(words, q.shape), q)
 
     def test_matrix_shape_preserved(self):
         rng = np.random.default_rng(4)
         q = rng.integers(-1, 2, size=(7, 13)).astype(np.int8)
-        packed = qz.pack_ternary(q)
-        assert packed.count == 91 and len(packed.words) == 6
-        np.testing.assert_array_equal(qz.unpack_ternary(packed), q)
+        words = qz.pack_ternary(q)
+        assert len(words) == 6
+        np.testing.assert_array_equal(qz.unpack_ternary(words, (7, 13)), q)
 
     def test_out_of_alphabet(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestPacking:
     @given(st.lists(st.integers(-1, 1), min_size=1, max_size=64))
     def test_round_trip_property(self, vals):
         q = np.array(vals, dtype=np.int8)
-        np.testing.assert_array_equal(qz.unpack_ternary(qz.pack_ternary(q)), q)
+        np.testing.assert_array_equal(qz.unpack_ternary(qz.pack_ternary(q), q.shape), q)
 
 
 class TestPow2Scale:
