@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input format error, 3 configuration/shape error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -55,8 +54,11 @@ def save_windows(path, windows: list[np.ndarray]):
 
 
 def load_windows(path) -> np.ndarray:
-    c = ct.Container.load(path)
-    return c.array("windows").astype(np.float64)
+    """The windows of an archive; FormatError if any value is NaN or infinite."""
+    windows = ct.Container.load(path).array("windows").astype(np.float64)
+    if not np.all(np.isfinite(windows)):
+        raise ct.FormatError(f"{path}: window archive holds NaN or infinite values")
+    return windows
 
 
 def read_any_recording(path) -> tuple[np.ndarray, float]:
@@ -75,11 +77,11 @@ def cmd_preprocess(args) -> int:
     kw = {}
     if args.config:
         with open(args.config) as f:
-            kw = ss.parse_config_text(f.read())
-        unknown = kw.keys() - {f.name for f in dataclasses.fields(sigp.PreprocessConfig)}
-        if unknown:
-            raise CliConfigError("preprocess config: unknown key "
-                                 + ", ".join(map(repr, sorted(unknown))))
+            text = f.read()
+        try:
+            [kw] = ss.config_values(ss.parse_config_text(text), sigp.PreprocessConfig)
+        except ss.PlanError as exc:  # a config error here, not a planning one
+            raise CliConfigError(f"preprocess config: {exc}") from exc
     if args.iqr_scope:
         kw["iqr_scope"] = args.iqr_scope
     cfg = sigp.PreprocessConfig(**kw)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("output")
     sp.add_argument("--config", help="key = value overrides for the filter chain")
-    sp.add_argument("--iqr-scope", choices=("window", "recording"), default=None)
+    sp.add_argument("--iqr-scope", choices=sigp.IQR_SCOPES, default=None)
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser("quantize", help="float checkpoint -> deployment image")

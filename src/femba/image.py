@@ -174,6 +174,12 @@ class QTensor:
     k: int = 0
     bias: np.ndarray | None = None
 
+    def dense(self) -> np.ndarray:
+        """The values as an int64 array of ``shape``."""
+        if self.kind == "t2":
+            return qz.unpack_ternary(self.words, self.shape).astype(np.int64)
+        return self.q.astype(np.int64)
+
 
 @dataclass
 class EngineImage:
@@ -205,8 +211,35 @@ def _add_mk(c: ct.Container, name: str, m: np.ndarray, k: int):
     c.add(name + ".k", ct.DT_I8, np.array([k], dtype=np.int8))
 
 
+def requant_grids(cfg: fm.ModelConfig, exp: dict[str, int]) -> dict[str, tuple]:
+    """``name -> (n_in, n_out)`` for every deployed tensor, in image entry
+    order: the layers of `quantizer.layer_catalog`, then ``pos``, then each
+    branch's ``a_mat`` and ``d_skip``. The tensor times values on the grid
+    2^-n_in is requantized onto the grid 2^-n_out: its ratio is
+    scales·2^(n_out−n_in), and its bias lies on the accumulator grid
+    2^−n_in·scales. A layer reads its in tap and writes its out taps (n_out
+    per row); the head has no requantizer, and its n_out of 0 makes the
+    ratio its dequantization scale. ``pos`` is added on the tokenizer output
+    grid, ``a_mat`` takes a step size to the exp LUT input, and ``d_skip``
+    adds to the scan output, c times the Q15 state."""
+    grids = {}
+    for layer in qz.layer_catalog(cfg):
+        rows = [np.full(count, exp[tap], dtype=np.int64) for tap, count in layer["out_taps"]]
+        grids[layer["name"]] = (exp[layer["in_tap"]], np.concatenate(rows) if rows else 0)
+    grids["pos"] = (0, exp["tok_conv"])
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            grids[p + "a_mat"] = (eng.DT_FRAC, eng.EXP_IN_FRAC)
+            grids[p + "d_skip"] = (exp[p + "u"], exp[p + "c"] + 15)
+    return grids
+
+
 def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
-    """Fold quantization artifacts into the self-contained deployment image."""
+    """Fold quantization artifacts into the self-contained deployment image:
+    each tensor's ratio (see `requant_grids`) into an int16 multiplier m per
+    row and a shift k, the head's into ``head.dequant``, and each bias into
+    INT32 on its accumulator grid."""
     if art.mode == "fp32" or not art.act:
         raise qz.CalibrationError("deployment image requires calibrated artifacts")
     if cfg.fusion == "concat_project":
@@ -217,45 +250,17 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     c.add("config_f", ct.DT_F32, np.array([cfg.dt_min, cfg.dt_max], dtype=np.float32))
     c.add("act_exponents", ct.DT_I8, np.array(list(exp.values()), dtype=np.int8))
 
-    for layer in qz.layer_catalog(cfg):
-        name = layer["name"]
+    for name, (n_in, n_out) in requant_grids(cfg, exp).items():
         qt = art.weights_q[name]
-        n_in = exp[layer["in_tap"]]
-        acc_lsb = 2.0 ** (-n_in) * qt.scales
         _add_weight(c, name, qt)
+        ratios = qt.scales * np.exp2(n_out - n_in)
         if name == "head":
-            dequant = 2.0 ** (-n_in) * qt.scales
-            c.add("head.dequant", ct.DT_F32, dequant.astype(np.float32))
-            c.add("head.bias", ct.DT_I32,
-                  _bias_to_int32(art.biases[name], dequant).astype(np.int32))
-            continue
-        n_out_rows = np.concatenate([
-            np.full(rows, exp[tap], dtype=np.int64) for tap, rows in layer["out_taps"]])
-        ratios = qt.scales * np.exp2(n_out_rows - n_in)
-        m, k = fold_mk(ratios)
-        _add_mk(c, name, m, k)
-        c.add(name + ".bias", ct.DT_I32,
-              _bias_to_int32(art.biases[name], acc_lsb).astype(np.int32))
-
-    # positional embedding, aligned onto the tokenizer-output grid
-    pos = art.weights_q["pos"]
-    _add_weight(c, "pos", pos)
-    m, k = fold_mk(pos.scales * 2.0 ** exp["tok_conv"])
-    _add_mk(c, "pos", m, k)
-
-    # scan parameters per direction
-    for i in range(cfg.n_blocks):
-        for d in ("fwd", "bwd"):
-            p = f"blocks.{i}.{d}."
-            a = art.weights_q[p + "a_mat"]
-            _add_weight(c, p + "a_mat", a)
-            m, k = fold_mk(a.scales * 2.0 ** (eng.EXP_IN_FRAC - eng.DT_FRAC))
-            _add_mk(c, p + "a_mat", m, k)
-            dsk = art.weights_q[p + "d_skip"]
-            _add_weight(c, p + "d_skip", dsk)
-            r = dsk.scales[0] * 2.0 ** ((exp[p + "c"] + 15) - exp[p + "u"])
-            m, k = fold_mk(np.array([r]))
-            _add_mk(c, p + "d_skip", m, k)
+            c.add("head.dequant", ct.DT_F32, ratios.astype(np.float32))
+        else:
+            _add_mk(c, name, *fold_mk(ratios))
+        if name in art.biases:
+            c.add(name + ".bias", ct.DT_I32, _bias_to_int32(
+                art.biases[name], 2.0 ** (-n_in) * qt.scales).astype(np.int32))
 
     last_out = exp[f"blocks.{cfg.n_blocks - 1}.out"]
     m, k = fold_mk(np.array([2.0 ** (exp["pooled"] - last_out) / cfg.n_tokens]))
@@ -266,6 +271,23 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
         c.add(f"luts.{lut.name}.meta", ct.DT_I32, np.array(
             [lut.lo_fixed, lut.in_frac, lut.out_frac, lut.step_shift], dtype=np.int32))
     return c
+
+
+def float_table(img: EngineImage) -> dict[str, tuple]:
+    """The image's float view as a `model.Walk` tensor table: each tensor
+    unfolded on its grids (see `requant_grids`) as q·m·2^−k·2^(n_in−n_out),
+    the head as q·head_dequant·2^n_in, and each bias as its INT32 value on
+    the accumulator grid. ``a_mat`` is clamped at 0, as the integer paths'
+    exp LUT clamps exp(delta*a) at 1."""
+    table = {}
+    for name, (n_in, n_out) in requant_grids(img.cfg, img.act_exp).items():
+        t = img.tensors[name]
+        ratio = img.head_dequant if name == "head" else t.m * 2.0 ** (-t.k)
+        scales = ratio * 2.0 ** (n_in - n_out)
+        w = t.dense() * scales[:, None]
+        b = None if t.bias is None else t.bias * (2.0 ** (-n_in) * scales)
+        table[name] = (np.minimum(w, 0.0) if name.endswith(".a_mat") else w, b)
+    return table
 
 
 def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:

@@ -8,7 +8,7 @@ linear classification head.
 This float path is the ground truth the quantized and integer paths are
 checked against. Everything runs in float64 and is deterministic. The graph
 is written out once, in `Walk`; the fake-quantized forward and a deployment
-image's float view walk it with their own op sets.
+image's float view walk it with their own tensor tables and tap exponents.
 """
 
 from __future__ import annotations
@@ -230,67 +230,62 @@ def fuse_branches(f: np.ndarray, b: np.ndarray, cfg: ModelConfig,
 
 
 # ---------------------------------------------------------------------------
+# quantize-dequantize
+
+def fake_quantize(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` on the INT8 grid 2^-n: rounded half away from zero and clipped
+    to ±127, in float, so no value wraps in an integer cast. A zero comes
+    out as +0."""
+    x = np.asarray(a, dtype=np.float64) * 2.0 ** n
+    q = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), -127, 127) + 0.0  # -0 + 0 = +0
+    return q * 2.0 ** (-n)
+
+
+# ---------------------------------------------------------------------------
 # the graph walker
 
-# branch layer -> (weight field, bias field) of BranchParams
-_BRANCH_LAYERS = {"in_proj": ("in_proj", None), "conv": ("conv_w", "conv_b"),
-                  "x_proj": ("x_proj", None), "dt_proj": ("dt_proj", "dt_bias"),
-                  "out_proj": ("out_proj", None)}
-
-
-class FloatOps:
-    """Op set of the float model: its own weights and no quantization.
-
-    A `Walk` asks every op set the same five things:
-
-    - ``weight(name)`` -> ``(w, b)``: the matrix (for a ``conv`` layer the
-      per-channel kernel) and the bias of a layer; ``b`` is None if it has none;
-    - ``pos``: the positional tensor, (n_tokens, d_model);
-    - ``scan(i, d)`` -> ``(a, d_skip)``: the scan parameters of block ``i``,
-      direction ``d``;
-    - ``fuse(i, f, b)``: block ``i``'s fusion of its two branch outputs;
-    - ``qdq(x, tap)``: quantize-dequantize at a tap; the identity here.
-    """
-
-    def __init__(self, weights: FembaWeights, cfg: ModelConfig):
-        self.weights, self.cfg = weights, cfg
-        self.pos = weights.pos_embed
-
-    def weight(self, name: str):
-        w = self.weights
-        if name == "tokenizer":
-            return w.tok_kernel.reshape(w.tok_kernel.shape[0], -1), w.tok_bias
-        if name == "head":
-            return w.head_w, w.head_b
-        _, i, d, layer = name.split(".")
-        branch = getattr(w.blocks[int(i)], d)
-        w_field, b_field = _BRANCH_LAYERS[layer]
-        return getattr(branch, w_field), None if b_field is None else getattr(branch, b_field)
-
-    def scan(self, i: int, d: str):
-        branch = getattr(self.weights.blocks[i], d)
-        return -np.exp(branch.a_log), branch.d_skip
-
-    def fuse(self, i: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return fuse_branches(f, b, self.cfg, self.weights.blocks[i].fuse_proj)
-
-    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
-        return x
+def tensor_table(weights: FembaWeights, cfg: ModelConfig) -> dict[str, tuple]:
+    """Every tensor of the float model as ``name -> (weight, bias)``, under the
+    names of `quantizer.tensor_shapes` plus ``blocks.<i>.fuse_proj`` with
+    concat_project fusion. This is the one map from `FembaWeights` fields to
+    tensor names. A ``conv`` weight is the per-channel kernel, ``a_mat`` is
+    A = -exp(a_log), and ``bias`` is None where the model has none."""
+    w = weights
+    table = {"tokenizer": (w.tok_kernel.reshape(w.tok_kernel.shape[0], -1), w.tok_bias),
+             "pos": (w.pos_embed, None)}
+    for i in range(cfg.n_blocks):
+        blk = w.blocks[i]
+        for d, br in (("fwd", blk.fwd), ("bwd", blk.bwd)):
+            p = f"blocks.{i}.{d}."
+            table.update({p + "in_proj": (br.in_proj, None),
+                          p + "conv": (br.conv_w, br.conv_b),
+                          p + "x_proj": (br.x_proj, None),
+                          p + "dt_proj": (br.dt_proj, br.dt_bias),
+                          p + "out_proj": (br.out_proj, None),
+                          p + "a_mat": (-np.exp(br.a_log), None),
+                          p + "d_skip": (br.d_skip, None)})
+        if cfg.fusion == "concat_project":
+            table[f"blocks.{i}.fuse_proj"] = (blk.fuse_proj, None)
+    table["head"] = (w.head_w, w.head_b)
+    return table
 
 
 class Walk:
     """The network graph in float arithmetic, the one place it is written out.
 
     The float model, the fake-quantized model and a deployment image's float
-    view differ only in their op set (see FloatOps). With a ``trace`` dict the
-    walk records every tap, every layer output as ``linear:<name>`` and
-    ``logits``. Every walk also notes its taps in order and, per layer, the
-    tap it reads and the taps its output columns feed; `graph` reads the tap
-    and layer lists off that record.
+    view differ only in their ``table`` of tensors (see `tensor_table`) and
+    in ``exps``: None for the float model, else each tap's power-of-two
+    exponent, where `fake_quantize` puts the activations on the INT8 grid.
+    With a ``trace`` dict the walk records every tap, every layer output as
+    ``linear:<name>`` and ``logits``. Every walk also notes its taps in order
+    and, per layer, the tap it reads and the taps its output columns feed;
+    `graph` reads the tap and layer lists off that record.
     """
 
-    def __init__(self, ops, cfg: ModelConfig, trace: dict | None = None):
-        self.ops, self.cfg, self.trace = ops, cfg, trace
+    def __init__(self, table: dict[str, tuple], cfg: ModelConfig,
+                 exps: dict[str, int] | None = None, trace: dict | None = None):
+        self.table, self.cfg, self.exps, self.trace = table, cfg, exps, trace
         self.taps: list[str] = []
         self.layers: dict[str, dict] = {}
 
@@ -300,7 +295,8 @@ class Walk:
 
     def tap(self, x: np.ndarray, name: str, of: str | None = None) -> np.ndarray:
         """Quantization point ``name``; ``of`` is the layer whose output ``x`` is."""
-        x = self.ops.qdq(x, name)
+        if self.exps is not None:
+            x = fake_quantize(x, self.exps[name])
         self.taps.append(name)
         if of is not None:
             layer = self.layers[of]
@@ -310,7 +306,7 @@ class Walk:
 
     def linear(self, name: str, x: np.ndarray, src: str) -> np.ndarray:
         """Layer ``name`` on ``x``, the activations of tap ``src``."""
-        w, b = self.ops.weight(name)
+        w, b = self.table[name]
         if name.endswith(".conv"):
             y = causal_depthwise_conv(x, w, b)
         elif name == "head":
@@ -340,7 +336,7 @@ class Walk:
         feats = self.linear("tokenizer", patch_matrix(x, cfg), "input")
         tok_conv = self.tap(feats.reshape(cfg.n_tokens, cfg.d_model), "tok_conv",
                             of="tokenizer")
-        return self.tap(tok_conv + self.ops.pos, "tokens")
+        return self.tap(tok_conv + self.table["pos"][0], "tokens")
 
     def branch(self, tokens: np.ndarray, i: int, d: str) -> np.ndarray:
         """Scan direction ``d`` of block ``i``. The backward branch reverses the
@@ -363,7 +359,7 @@ class Walk:
                           of=p + "dt_proj")
 
         delta = np.clip(softplus(dt_pre), cfg.dt_min, cfg.dt_max)
-        a, d_skip = self.ops.scan(i, d)
+        a, d_skip = self.table[p + "a_mat"][0], self.table[p + "d_skip"][0].reshape(-1)
         y = self.tap(selective_scan(u, delta, a, b, c, d_skip), p + "y")
         gated = self.tap(y * silu(gate), p + "gated")
         out = self.linear(p + "out_proj", gated, p + "gated")
@@ -373,7 +369,8 @@ class Walk:
         """Bidirectional block ``i``: fused branches around a residual."""
         f = self.branch(tokens, i, "fwd")
         b = self.branch(tokens, i, "bwd")
-        fused = self.tap(self.ops.fuse(i, f, b), f"blocks.{i}.fused")
+        proj = self.table.get(f"blocks.{i}.fuse_proj", (None,))[0]
+        fused = self.tap(fuse_branches(f, b, self.cfg, proj), f"blocks.{i}.fused")
         return self.tap(tokens + fused, f"blocks.{i}.out")
 
     def run(self, window: np.ndarray) -> np.ndarray:
@@ -390,7 +387,7 @@ class Walk:
 def forward(window: np.ndarray, weights: FembaWeights, cfg: ModelConfig,
             trace: dict | None = None) -> np.ndarray:
     """Window (n_channels, n_samples) -> class logits (n_classes,)."""
-    return Walk(FloatOps(weights, cfg), cfg, trace).run(window)
+    return Walk(tensor_table(weights, cfg), cfg, trace=trace).run(window)
 
 
 def forward_with_trace(window, weights, cfg) -> tuple[np.ndarray, dict]:
@@ -409,7 +406,7 @@ def graph(cfg: ModelConfig) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     patch position with zero weights.
     """
     one = replace(cfg, n_samples=cfg.patch_size, n_tokens=cfg.n_groups)
-    walk = Walk(FloatOps(zero_weights(one), one), one)
+    walk = Walk(tensor_table(zero_weights(one), one), one)
     walk.run(np.zeros((one.n_channels, one.n_samples)))
     return tuple(walk.taps), tuple((name, layer["in_tap"], tuple(layer["out_taps"]))
                                    for name, layer in walk.layers.items())

@@ -152,16 +152,6 @@ def choose_pow2_scale(stats: CalibStats | float) -> int:
     return max(0, min(n, MAX_EXPONENT))
 
 
-def quantize_activation(a: np.ndarray, n: int, bits: int = 8) -> np.ndarray:
-    qmax = (1 << (bits - 1)) - 1
-    q = round_half_away(np.asarray(a, dtype=np.float64) * 2.0 ** n)
-    return np.clip(q, -qmax, qmax).astype(np.int32)
-
-
-def fake_quantize(a: np.ndarray, n: int, bits: int = 8) -> np.ndarray:
-    return quantize_activation(a, n, bits).astype(np.float64) * 2.0 ** (-n)
-
-
 # ---------------------------------------------------------------------------
 # model-level quantization
 
@@ -194,27 +184,17 @@ def tensor_shapes(cfg: fm.ModelConfig):
 
 def weight_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
     """Every tensor of `tensor_shapes` as a float array of its dims."""
-    ops = fm.FloatOps(weights, cfg)
-    out = {}
-    for name, shape in tensor_shapes(cfg):
-        if name == "pos":
-            w = ops.pos
-        elif name.endswith((".a_mat", ".d_skip")):
-            _, i, d, kind = name.split(".")
-            w = ops.scan(int(i), d)[kind == "d_skip"]
-        else:
-            w = ops.weight(name)[0]
-        out[name] = w.reshape(shape)
-    return out
+    table = fm.tensor_table(weights, cfg)
+    return {name: table[name][0].reshape(shape) for name, shape in tensor_shapes(cfg)}
 
 
 def bias_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
     """Float biases per weighted layer; layers without a trained bias get
     zeros so bias correction has a place to land."""
-    ops = fm.FloatOps(weights, cfg)
+    table = fm.tensor_table(weights, cfg)
     out = {}
     for layer in layer_catalog(cfg):
-        w, b = ops.weight(layer["name"])
+        w, b = table[layer["name"]]
         out[layer["name"]] = np.zeros(w.shape[0]) if b is None else b.copy()
     return out
 
@@ -275,36 +255,20 @@ def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
 # ---------------------------------------------------------------------------
 # fake-quantized forward (float semantics)
 
-class _FakeQuantOps(fm.FloatOps):
-    """Op set of the fake-quantized model: dequantized weights, the
-    (correctable) biases of the artifacts, and quantize-dequantize at every
-    tap. Fusion keeps the float model's projection."""
-
-    def __init__(self, weights: fm.FembaWeights, cfg: fm.ModelConfig, art: QuantArtifacts):
-        super().__init__(weights, cfg)
-        self.art = art
-        self.pos = art.weights_q["pos"].dequant()
-
-    def weight(self, name: str):
-        return self.art.weights_q[name].dequant(), self.art.biases[name]
-
-    def scan(self, i: int, d: str):
-        p = f"blocks.{i}.{d}."
-        return (self.art.weights_q[p + "a_mat"].dequant(),
-                self.art.weights_q[p + "d_skip"].dequant().reshape(-1))
-
-    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
-        return fake_quantize(x, self.art.exponent(tap))
-
-
 def fake_quant_forward(weights: fm.FembaWeights, cfg: fm.ModelConfig,
                        art: QuantArtifacts, window: np.ndarray,
                        trace: dict | None = None) -> np.ndarray:
     """Float arithmetic with quantize->dequantize at every weight and
-    activation point. With mode fp32 this is the plain float forward."""
+    activation point: the artifacts' dequantized weights and (correctable)
+    biases laid over the float tensor table, whose fusion projection stays
+    float. With mode fp32 this is the plain float forward."""
     if art.mode == "fp32":
         return fm.forward(window, weights, cfg, trace=trace)
-    return fm.Walk(_FakeQuantOps(weights, cfg, art), cfg, trace).run(window)
+    table = fm.tensor_table(weights, cfg)
+    table.update((name, (qt.dequant(), art.biases.get(name)))
+                 for name, qt in art.weights_q.items())
+    exps = {tap: art.exponent(tap) for tap in fm.quant_points(cfg)}
+    return fm.Walk(table, cfg, exps, trace).run(window)
 
 
 def bias_correct(weights: fm.FembaWeights, cfg: fm.ModelConfig,

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import image as im
 from . import model as fm
-from . import quantizer as qz
 
 _Q15_LO, _Q15_HI = -(1 << 15), (1 << 15) - 1
 
@@ -33,15 +32,9 @@ def _clip8(v):
     return np.clip(v, -127, 127)
 
 
-def _dense(t: im.QTensor) -> np.ndarray:
-    if t.kind == "t2":
-        return qz.unpack_ternary(t.words, t.shape).astype(np.int64)
-    return t.q.astype(np.int64)
-
-
 def _linear(image, name, act_q):
     t = image.tensors[name]
-    acc = np.asarray(act_q, dtype=np.int64) @ _dense(t).T + t.bias
+    acc = np.asarray(act_q, dtype=np.int64) @ t.dense().T + t.bias
     return _clip8(_round_shift(acc * t.m, t.k))
 
 
@@ -78,7 +71,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
                    _linear(image, "tokenizer", patches).reshape(cfg.n_tokens, cfg.d_model))
 
     pos = image.tensors["pos"]
-    pos_fx = _round_shift(_dense(pos) * pos.m[:, None], pos.k)
+    pos_fx = _round_shift(pos.dense() * pos.m[:, None], pos.k)
     tokens = rec("tokens", _clip8(_to_frac(tok_conv + pos_fx,
                                            n["tok_conv"], n["tokens"])))
 
@@ -93,7 +86,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
             gq = rec(p + "gate", xz[:, cfg.d_inner:])
 
             conv = image.tensors[p + "conv"]
-            kern = _dense(conv)
+            kern = conv.dense()
             t_len = xq.shape[0]
             pad = np.concatenate([np.zeros((cfg.d_conv - 1, cfg.d_inner), np.int64), xq])
             acc = sum(pad[j:j + t_len] * kern[:, j] for j in range(cfg.d_conv)) + conv.bias
@@ -111,7 +104,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
 
             a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
             dt_fix = _interp(image.luts["softplus"], _to_frac(dtp, n[p + "dt_pre"], 15))
-            la = _round_shift(dt_fix[:, :, None] * _dense(a_mat)[None]
+            la = _round_shift(dt_fix[:, :, None] * a_mat.dense()[None]
                               * a_mat.m[None, :, None], a_mat.k)
             abar = _interp(image.luts["exp"], la)
             bx = np.clip(_round_shift((dt_fix * uq)[:, :, None] * bq[:, None, :],
@@ -123,7 +116,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
                 h = np.clip(_round_shift(abar[t] * h, 15) + bx[t], _Q15_LO, _Q15_HI)
                 hs[t] = h
             y_acc = (cq2[:, None, :] * hs).sum(axis=2)
-            du = _round_shift(_dense(d_skip) * uq * d_skip.m[0], d_skip.k)
+            du = _round_shift(d_skip.dense() * uq * d_skip.m[0], d_skip.k)
             yq = rec(p + "y", _clip8(_round_shift(y_acc + du,
                                                   n[p + "c"] + 15 - n[p + "y"])))
 
@@ -148,7 +141,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
     pooled = rec("pooled", _clip8(_round_shift(tokens.sum(axis=0) * image.pool_m,
                                                image.pool_k)))
     head = image.tensors["head"]
-    logits_i = pooled @ _dense(head).T + head.bias
+    logits_i = pooled @ head.dense().T + head.bias
     if trace is not None:
         trace["logits_i32"] = logits_i.astype(np.int32)
     return logits_i, logits_i.astype(np.float64) * image.head_dequant
@@ -157,64 +150,9 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
 # ---------------------------------------------------------------------------
 # float-semantics fake-quant view of a deployment image
 
-def _aligned_weights(image: im.EngineImage):
-    """Dequantized weights/biases under the image's aligned (folded) scales."""
-    cfg = image.cfg
-    n = image.act_exp
-    ws, bs = {}, {}
-    for layer in qz.layer_catalog(cfg):
-        name = layer["name"]
-        t = image.tensors[name]
-        if name == "head":
-            s_head = image.head_dequant * 2.0 ** n["pooled"]
-            ws[name] = _dense(t).astype(np.float64) * s_head[:, None]
-            bs[name] = t.bias.astype(np.float64) * image.head_dequant
-            continue
-        n_in = n[layer["in_tap"]]
-        n_out = np.concatenate([np.full(rows, n[tap], dtype=np.float64)
-                                for tap, rows in layer["out_taps"]])
-        r = t.m.astype(np.float64) * 2.0 ** (-t.k)
-        s_w = r * 2.0 ** (n_in - n_out)
-        ws[name] = _dense(t).astype(np.float64) * s_w[:, None]
-        bs[name] = t.bias.astype(np.float64) * (2.0 ** (-n_in) * s_w)
-    return ws, bs
-
-
-class _ImageOps:
-    """Op set of a deployment image's float view: weights dequantized under
-    its aligned scales, quantize-dequantize at its exponents."""
-
-    def __init__(self, image: im.EngineImage):
-        cfg, n = image.cfg, image.act_exp
-        self.image, self.cfg, self.n = image, cfg, n
-        self.ws, self.bs = _aligned_weights(image)
-        pos = image.tensors["pos"]
-        s_pos = pos.m.astype(np.float64) * 2.0 ** (-pos.k - n["tok_conv"])
-        self.pos = _dense(pos).astype(np.float64) * s_pos[:, None]
-
-    def weight(self, name: str):
-        return self.ws[name], self.bs[name]
-
-    def scan(self, i: int, d: str):
-        n, p = self.n, f"blocks.{i}.{d}."
-        a_mat, d_skip = self.image.tensors[p + "a_mat"], self.image.tensors[p + "d_skip"]
-        s_a = a_mat.m.astype(np.float64) * 2.0 ** (-a_mat.k - 1)
-        a = _dense(a_mat).astype(np.float64) * s_a[:, None]
-        s_d = int(d_skip.m[0]) * 2.0 ** (-d_skip.k) * 2.0 ** (n[p + "u"] - n[p + "c"] - 15)
-        # match the LUT path, which clamps exp(delta*a) at 1 for a >= 0
-        return np.minimum(a, 0.0), _dense(d_skip)[0].astype(np.float64) * s_d
-
-    def fuse(self, i: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return fm.fuse_branches(f, b, self.cfg)
-
-    def qdq(self, x: np.ndarray, tap: str) -> np.ndarray:
-        n = self.n[tap]
-        q = np.clip(np.sign(x) * np.floor(np.abs(x) * 2.0 ** n + 0.5), -127, 127)
-        return q * 2.0 ** (-n)
-
-
 def fakequant_float_from_image(image: im.EngineImage, window: np.ndarray) -> np.ndarray:
-    """Float-arithmetic fake-quant forward using the image's aligned scales:
-    quantize/dequantize at every activation point, dequantized weights, exact
-    nonlinearities (the integer path's float-domain counterpart)."""
-    return fm.Walk(_ImageOps(image), image.cfg).run(window)
+    """Float-arithmetic fake-quant forward of a deployment image: its float
+    view (`image.float_table`) with quantize/dequantize at every activation
+    point and exact nonlinearities (the integer path's float-domain
+    counterpart)."""
+    return fm.Walk(im.float_table(image), image.cfg, image.act_exp).run(window)

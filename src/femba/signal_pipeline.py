@@ -244,13 +244,21 @@ def add_gaussian_noise(x: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     return x + rng.normal(0.0, sigma, size=x.shape)
 
 
+IQR_SCOPES = ("window", "recording")  # the quartiles of each window | of the recording
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     bandpass_lo_hz: float = 1.0
     bandpass_hi_hz: float = 75.0
     notch_hz: float = 60.0
     notch_q: float = 30.0
-    iqr_scope: str = "window"  # "window" | "recording"
+    iqr_scope: str = "window"  # one of IQR_SCOPES
+
+    def __post_init__(self):
+        if self.iqr_scope not in IQR_SCOPES:
+            raise FilterSpecError(f"'iqr_scope' must be one of {IQR_SCOPES}, "
+                                  f"not {self.iqr_scope!r}")
 
 
 def preprocess_recording(rec: RawRecording, cfg: PreprocessConfig = PreprocessConfig()

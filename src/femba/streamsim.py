@@ -24,7 +24,8 @@ what that stage needs: one row of every tensor fits half of L1.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 
 from .container import payload_size
 from .image import WEIGHT_DTYPE
@@ -48,6 +49,9 @@ class PlanError(ValueError):
     """Tiling constraint violated (e.g. one row cannot fit half of L1)."""
 
 
+SCAN_MAC_MODES = ("table", "analytic")  # per-step constant | recurrence arithmetic
+
+
 @dataclass(frozen=True)
 class MemHierarchy:
     l1_bytes: int = 131072
@@ -59,11 +63,9 @@ class MemHierarchy:
     avg_power_w: float = 0.0441
 
     def __post_init__(self):
-        for name in ("l1_bytes", "l2_bytes", "l3_chunk_bytes",
-                     "l2_bandwidth_bytes_per_cycle", "l1_bandwidth_bytes_per_cycle",
-                     "clock_hz", "avg_power_w"):
-            if getattr(self, name) <= 0:
-                raise PlanError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise PlanError(f"{f.name} must be positive")
         if self.l3_chunk_bytes > self.l2_bytes // 2:
             raise PlanError("chunk size must leave room for two resident chunks in L2")
 
@@ -78,12 +80,15 @@ class CostModel:
         "seq_reversal_fwd": 1.6e6, "seq_reversal_bwd": 1.0e6, "fusion": 2.1e6,
         "patch_embed": 8.0e6, "pos_embed": 2.3e6, "global_pool": 0.5e6,
         "classifier": 0.05e6})
-    scan_mac_mode: str = "table"  # "table" (per-step constant) | "analytic"
+    scan_mac_mode: str = "table"  # one of SCAN_MAC_MODES
     scan_macs_per_step: int = 256
 
     def __post_init__(self):
         if any(v <= 0 for v in self.throughput.values()):
             raise PlanError("throughputs must be positive")
+        if self.scan_mac_mode not in SCAN_MAC_MODES:
+            raise PlanError(f"'scan_mac_mode' must be one of {SCAN_MAC_MODES}, "
+                            f"not {self.scan_mac_mode!r}")
 
 
 def mac_count(cfg: ModelConfig, cm: CostModel = CostModel()) -> dict[str, int]:
@@ -374,7 +379,7 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise PlanError(f"config line {lineno}: expected 'key = value'")
+            raise PlanError(f"config line {lineno}: {line.split()[0]!r} is not 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
         try:
             out[key] = float(val) if ("." in val or "e" in val.lower()) else int(val)
@@ -383,23 +388,42 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def config_from_mapping(kv: dict) -> tuple[MemHierarchy, CostModel, str]:
-    h_fields = {f: kv[f] for f in (
-        "l1_bytes", "l2_bytes", "l3_chunk_bytes", "l2_bandwidth_bytes_per_cycle",
-        "l1_bandwidth_bytes_per_cycle", "clock_hz", "avg_power_w") if f in kv}
-    h = MemHierarchy(**h_fields)
-    cm = CostModel()
-    thr = dict(cm.throughput)
-    fc = dict(cm.fixed_cycles)
+def config_values(kv: dict, *classes) -> list[dict]:
+    """Keyword arguments for each dataclass of ``classes`` from the parsed
+    config ``kv``. Each key names a field, or ``<field>.<entry>`` an entry of
+    a dict field, and each value has its default's kind: an int for an int,
+    a string for a string, any finite number for a float. PlanError naming
+    the key for any other key or value."""
+    kwargs, known = [], {}
+    for cls in classes:
+        kw, defaults = {}, cls()
+        for f in fields(cls):
+            default = getattr(defaults, f.name)
+            if isinstance(default, dict):
+                kw[f.name] = dict(default)
+                known.update({f"{f.name}.{k}": (kw[f.name], k, v) for k, v in default.items()})
+            else:
+                known[f.name] = (kw, f.name, default)
+        kwargs.append(kw)
     for key, val in kv.items():
-        if key.startswith("throughput."):
-            thr[key.split(".", 1)[1]] = float(val)
-        elif key.startswith("fixed_cycles."):
-            fc[key.split(".", 1)[1]] = float(val)
-    cm = replace(cm, throughput=thr, fixed_cycles=fc,
-                 scan_mac_mode=kv.get("scan_mac_mode", cm.scan_mac_mode),
-                 scan_macs_per_step=int(kv.get("scan_macs_per_step", cm.scan_macs_per_step)))
-    mode = kv.get("mode", "w8a8")
+        if key not in known:
+            raise PlanError(f"unknown config key {key!r}")
+        target, name, default = known[key]
+        if isinstance(default, float):
+            ok = isinstance(val, (int, float)) and math.isfinite(val)
+        else:
+            ok = type(val) is type(default)
+        if not ok:
+            raise PlanError(f"config key {key!r} = {val!r}: expected {type(default).__name__}")
+        target[name] = float(val) if isinstance(default, float) else val
+    return kwargs
+
+
+def config_from_mapping(kv: dict) -> tuple[MemHierarchy, CostModel, str]:
+    """The memory hierarchy, cost model and mode of a parsed config file."""
+    kv = dict(kv)
+    mode = kv.pop("mode", "w8a8")
     if mode not in MODES:
         raise PlanError(f"mode {mode!r} is not one of {', '.join(MODES)}")
-    return h, cm, mode
+    h_kw, cm_kw = config_values(kv, MemHierarchy, CostModel)
+    return MemHierarchy(**h_kw), CostModel(**cm_kw), mode

@@ -85,7 +85,8 @@ class TestPreprocess:
         assert run("preprocess", rec, tmp_path / "d.fmbc") == 0
         assert not np.array_equal(cli.load_windows(out), cli.load_windows(tmp_path / "d.fmbc"))
 
-    @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128"])
+    @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128",
+                                      "notch_hz = abc", "iqr_scope = banana", "notch_hz 50"])
     def test_unknown_config_key_exit_3(self, tmp_path, capsys, line):
         rec = tmp_path / "rec.sig"
         ct.write_recording(rec, np.random.default_rng(2).normal(0, 10, (22, 1280)), 256.0)
@@ -237,6 +238,39 @@ class TestInfer:
         assert "w0.blocks.0.fwd.y" in d
 
 
+class TestNonFiniteWindows:
+    """A window archive holding NaN or an infinity is a format error."""
+
+    @pytest.fixture(params=[np.nan, np.inf], ids=["nan", "inf"])
+    def bad_archive(self, request, tmp_path, tiny_windows):
+        windows = [w.astype(np.float32) for w in tiny_windows]
+        windows[1][2, 5] = request.param
+        path = tmp_path / "bad.fmbc"
+        cli.save_windows(str(path), windows)
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["w8a8", "fakequant", "fp32"])
+    def test_infer_exit_2(self, tmp_path, capsys, tiny_checkpoint, tiny_archive,
+                          bad_archive, mode):
+        model = tiny_checkpoint
+        if mode != "fp32":
+            model = str(tmp_path / "img8.fmbc")
+            assert run("quantize", tiny_checkpoint, model, "--mode", "w8a8",
+                       "--calib", tiny_archive) == 0
+        m = write_manifest(tmp_path, model=model, mode=mode, windows=bad_archive,
+                           output=str(tmp_path / "out.fmbc"))
+        capsys.readouterr()
+        assert run("infer", m) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_quantize_calib_exit_2(self, tmp_path, capsys, tiny_checkpoint, bad_archive):
+        assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc", "--mode", "w8a8",
+                   "--calib", bad_archive) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestCorruptImage:
     """A malformed deployment image exits 2 with a message, not a traceback."""
 
@@ -354,6 +388,17 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("line", ["l1_byte = 5", "throughput.inptu_proj = 9.0",
+                                      "l1_bytes = abc", "scan_mac_mode = banana",
+                                      "scan_macs_per_step = 2.5"])
+    def test_unused_config_key_or_value_exit_4(self, tmp_path, capsys, line):
+        cfgf = tmp_path / "bench.cfg"
+        cfgf.write_text(line + "\n")
+        assert run("bench", "--config", cfgf) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert repr(line.split()[0]) in captured.err
 
     def test_csv_out(self, tmp_path):
         out = tmp_path / "r.csv"

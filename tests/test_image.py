@@ -2,6 +2,7 @@
 image either fails to load with FormatError/EngineConfigError, or the engine
 and the reference agree on it bit for bit."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -254,7 +255,7 @@ def scan_stats(img, trace) -> eng.EngineStats:
 def scan_la(img, p, dt):
     """The exp LUT input of branch p, before it is clipped to the domain."""
     a_mat = img.tensors[p + "a_mat"]
-    return ref._round_shift(dt[:, :, None] * ref._dense(a_mat)[None]
+    return ref._round_shift(dt[:, :, None] * a_mat.dense()[None]
                             * a_mat.m[None, :, None], a_mat.k)
 
 
@@ -324,3 +325,57 @@ def test_la_past_both_ends_of_exp_domain(cfg):
     la = scan_la(img, p, dt)
     assert la.min() < exp.lo_fixed and la.max() > exp.lo_fixed + exp.dense.size - 1
     assert np.any(la == 0)
+
+
+# --- the image's float view --------------------------------------------------
+
+def expected_grids(name: str, cfg, n) -> tuple:
+    """(n_in, n_out) of a deployed tensor, written out here apart from
+    `image.requant_grids`."""
+    kind, p = name.rsplit(".", 1)[-1], name.rsplit(".", 1)[0] + "."
+    if kind == "pos":
+        return 0, n["tok_conv"]
+    if kind == "a_mat":
+        return eng.DT_FRAC, eng.EXP_IN_FRAC
+    if kind == "d_skip":
+        return n[p + "u"], n[p + "c"] + 15  # c times the Q15 scan state
+    if name == "head":
+        return n["pooled"], 0
+    layer = {x["name"]: x for x in qz.layer_catalog(cfg)}[name]
+    return n[layer["in_tap"]], np.concatenate(
+        [np.full(rows, n[tap]) for tap, rows in layer["out_taps"]])
+
+
+@pytest.mark.parametrize("mode", ["w8a8", "w4a8", "w2a8"])
+@pytest.mark.parametrize("cfg", [TINY, dataclasses.replace(TINY_GROUPED, fusion="mean")],
+                         ids=["tiny", "grouped-mean"])
+def test_float_view_is_each_tensor_dequantized(cfg, mode):
+    """Each tensor of the image's float view is its int values times the
+    requantizer unfolded on the grids above, and lies within half a
+    requantizer step of the artifacts' dequantized tensor; each bias lies
+    within that step and its INT32 rounding of the artifacts' bias."""
+    art = qz.quantize_model(fm.init_weights(cfg, seed=11), cfg, mode,
+                            make_windows(cfg, 6, seed=12))
+    img = im.load_image(im.build_image(cfg, art))
+    table = im.float_table(img)
+    slack = 1 + 1e-12  # float rounding of the products compared here
+    for name, _ in qz.tensor_shapes(cfg):
+        t, qt = img.tensors[name], art.weights_q[name]
+        n_in, n_out = expected_grids(name, cfg, img.act_exp)
+        q, (w, b) = t.dense(), table[name]
+        if name == "head":
+            scales = img.head_dequant * 2.0 ** n_in
+            half_step = qt.scales * 2.0 ** -24  # head.dequant's float32 rounding
+        else:
+            scales = t.m * 2.0 ** (n_in - n_out - t.k)
+            half_step = np.broadcast_to(2.0 ** (n_in - n_out - t.k - 1), scales.shape)
+        np.testing.assert_allclose(w, q * scales[:, None], rtol=1e-15, atol=0, err_msg=name)
+        err = np.abs(w - qt.dequant())
+        assert np.all(err <= np.abs(q) * half_step[:, None] * slack), name
+        if name.endswith(".a_mat"):
+            assert np.all(w <= 0.0)
+        if name not in art.biases:
+            assert b is None, name
+            continue
+        bound = 2.0 ** -n_in * (0.5 * qt.scales + np.abs(t.bias) * half_step)
+        assert np.all(np.abs(b - art.biases[name]) <= bound * slack), name

@@ -120,7 +120,7 @@ class TestSelectiveScan:
 # --- branches and blocks -----------------------------------------------------
 
 def walk(weights, cfg, trace=None):
-    return fm.Walk(fm.FloatOps(weights, cfg), cfg, trace)
+    return fm.Walk(fm.tensor_table(weights, cfg), cfg, trace=trace)
 
 
 class TestMambaBranch:

@@ -103,9 +103,15 @@ class TestPow2Scale:
         assert qz.choose_pow2_scale(127.0) == 0
 
     def test_exact_representation(self):
-        q = qz.quantize_activation(np.array([0.75]), 2)
-        assert q[0] == 3
-        assert q[0] * 2.0 ** -2 == 0.75
+        assert fm.fake_quantize(np.array([0.75]), 2)[0] == 0.75
+        assert fm.fake_quantize(np.array([0.7]), 2)[0] == 0.75
+
+    def test_fake_quantize_clips_past_the_integer_range(self):
+        # values whose scaled magnitude passes 2^63 clip to +-127 like any other
+        big = np.array([1e30, -1e30, np.inf, -np.inf, 200.0, -0.001])
+        np.testing.assert_array_equal(fm.fake_quantize(big, 3),
+                                      [15.875, -15.875, 15.875, -15.875, 15.875, 0.0])
+        assert not np.signbit(fm.fake_quantize(np.array([-0.001]), 3)[0])
 
     def test_degenerate_zero_stats(self):
         stats = qz.CalibStats()
