@@ -15,12 +15,16 @@ Number formats
   LUT output    int16 with a declared number of fractional bits
 
 Exact arithmetic on fast kernels
-  matmuls       the dot products run as float64 BLAS matmuls. Every operand
-                is an integer with |act| <= 127 and |w| <= 128, so every
-                partial sum, in whatever order and blocking the BLAS adds,
-                is an integer of magnitude at most d_in * 127 * 128 < 2^53
-                and float64 holds it exactly. load_image bounds the final
-                accumulator by INT32_MAX, far below that.
+  matmuls       the dot products run as float32 BLAS matmuls over blocks of
+                the input dimension, each block's result converted to int64
+                and the blocks summed. A block holds b columns with
+                b * max|act| * 128 < 2^24: every operand is an integer with
+                |w| <= 128, so every partial sum, in whatever order and
+                blocking the BLAS adds, is an integer below 2^24 and float32
+                holds it exactly. At 127 a block is 1032 columns wide. An i8
+                weight is converted to float32 once per loaded image
+                (QTensor.f32); t2 weights are unpacked to float32 on every
+                call. load_image bounds the final accumulator by INT32_MAX.
   LUTs          lut_eval interpolates in int32: the position is clipped to
                 (LUT_SIZE-1) << step_shift < 2^31 and the rounded product of
                 an entry difference (|d| < 2^16) and the fraction
@@ -29,9 +33,15 @@ Exact arithmetic on fast kernels
                 Lut.dense, lut_eval at every integer input of the domain:
                 (LUT_SIZE-1) * 2^step_shift + 1 int32 entries, 65,473 for the
                 built table (step_shift 6) and at most ~1 M (4 MB).
-  scan build    la = rhu(dt * a_coef, k) stays int64 (dt * a_coef reaches
-                ~2^37) and is formed a chunk of time rows at a time; clipped
-                to the exp domain it indexes the dense table.
+  scan build    the exp table index rhu(dt * a_coef, k) - lo_fixed stays
+                int64 (|dt * a_coef| <= 2^15 * 2^7 * 2^15 = 2^37) and takes
+                one add and one shift: (dt * a_coef + 2^(k-1) - lo_fixed *
+                2^k) >> k, since lo_fixed * 2^k is a multiple of 2^k. The
+                gather from the dense table clips the index to the domain,
+                so a shift past 39 and a lo_fixed far outside the reach of
+                rhu(dt * a_coef, k) are cut to values that give the same
+                clipped index; the add then stays below 2^60 for every image
+                load_image accepts.
                 bx = rhu(dt * u * b, n_u + n_b - 4) runs in int32:
                 |dt * u * b| <= 32768 * 127 * 127 < 2^29, so the rounded
                 shift is exact up to 31, and a wider shift gives 0 as 31
@@ -44,21 +54,34 @@ Exact arithmetic on fast kernels
                 int32 while that sum stays below 2^31 (d_state < 516).
 
 Parallelism
-  A block's two scan directions are independent until fusion, so with two or
-  more `workers` the backward scan runs on a second thread while the forward
-  one runs in the calling thread (numpy releases the interpreter lock inside
-  the array work). Everything else, and with one worker both scans, runs in
-  the calling thread, which also allocates the (T, d_inner, d_state) scan
-  buffers: memory freed in another thread stays in that thread's malloc
-  arena. Each scan runs sequentially over time; the saturating Q15 update is
-  not associative, so time is never split. The result does not depend on
-  the thread count. The matmuls take their threads from the BLAS.
+  A forward runs in the calling thread unless it is given two or more
+  `workers` (or FEMBA_THREADS asks for them). A block's two scan directions
+  are independent until fusion, so with two or more workers the backward
+  scan runs on a second thread while the forward one runs in the calling
+  thread (numpy releases the interpreter lock inside the array work).
+  Everything else runs in the calling thread. One thread is the default:
+  the second saves 13-15 % of a full-shape window on average, but the time
+  then varies with how busy the other core is, and the per-step calls of
+  q15_scan_core are too short to share the interpreter lock well (both
+  directions' step loops took 31 ms on two threads, 22 ms on one).
+  Each scan runs sequentially over time; the saturating Q15 update is not
+  associative, so time is never split across threads. A direction builds,
+  scans and reads out c . h a chunk of time rows (SCAN_CHUNK values) at a
+  time, carrying the state from chunk to chunk, so no (T, d_inner, d_state)
+  buffer exists and a chunk's operands stay in cache. The result does not
+  depend on the thread count. During a forward the loaded OpenBLAS runs on
+  one thread: at these matrix sizes a second BLAS thread gains nothing, and
+  its idle worker spins on a core that a second scan thread or another
+  process needs. The caller's BLAS thread count is restored on exit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -89,13 +112,72 @@ class EngineConfigError(ValueError):
     """Deployment image inconsistent with the engine's integer contracts."""
 
 
-def worker_count(explicit: int | None = None) -> int:
+def worker_count(explicit: int | None = None, default: int | None = None) -> int:
+    """explicit, else FEMBA_THREADS, else default, else the CPU count."""
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get("FEMBA_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return default or os.cpu_count() or 1
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread during a forward
+
+@functools.cache
+def _loaded_openblas() -> tuple:
+    """(get, set) of the thread count, through the C API, of every OpenBLAS
+    mapped into the process when the first forward runs (numpy's is loaded
+    with numpy); a library that cannot be opened or exports neither symbol
+    pair is left out."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return ()
+    apis = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                apis.append((get, set_))
+                break
+    return tuple(apis)
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved: list = []  # (set, the caller's count) per library
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread. Concurrent
+    bodies share the lowered count; the last one out restores the count the
+    first one in found."""
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _loaded_openblas()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
 
 
 def _rhu_inplace(v: np.ndarray, k: int):
@@ -225,26 +307,34 @@ def build_all_luts(dt_max: float = 10.0) -> dict[str, Lut]:
 # ---------------------------------------------------------------------------
 # integer kernels
 
-SCAN_CHUNK = 1 << 16  # int64 values per chunk of the scan build: 2 time rows at full shape
+SCAN_CHUNK = 100_000  # values per chunk of the fused scan: 4 time rows at full shape
+F32_EXACT = 1 << 24  # float32 holds every integer below it exactly
 
 
 def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
     """acc (..., out) * per-channel m, shifted by k, clamped symmetric."""
     scaled = np.asarray(acc, dtype=np.int64) * np.asarray(m, dtype=np.int64)
-    return np.clip(rhu_shift(scaled, k), -clamp, clamp)
+    _rhu_inplace(scaled, k)
+    return np.clip(scaled, -clamp, clamp, out=scaled)
 
 
 def _requantized_dot(act, w: np.ndarray, bias, m, k: int) -> np.ndarray:
-    """clamp(rhu((act @ w.T + bias) * m >> k)), the dot products accumulated
-    by float64 BLAS. Exact while no partial sum can reach 2^53.
+    """clamp(rhu((act @ w.T + bias) * m >> k)), the dot products summed by
+    float32 BLAS over blocks of input columns whose partial sums stay below
+    2^24. w holds int8 values (|w| <= 128), as int8 or float32.
 
     The body of both matmul kernels; ternary_matmul does not go through
     int8_matmul, so profiles and MAC counts keep the two kernels apart."""
-    act = np.asarray(act, dtype=np.float64)
-    assert w.dtype == np.int8 and \
-        int(np.abs(act).max(initial=0)) * 128 * act.shape[1] < 2**53, \
-        "float64 accumulation would round"
-    acc = (act @ w.astype(np.float64).T).astype(np.int64)
+    act = np.asarray(act)
+    d_in = act.shape[1]
+    peak = int(np.abs(act).max(initial=0)) * 128
+    block = (F32_EXACT - 1) // peak if peak else d_in
+    assert block >= 1 and w.dtype in (np.int8, np.float32), "float32 accumulation would round"
+    act = act.astype(np.float32)
+    w = np.asarray(w, dtype=np.float32)
+    acc = (act[:, :block] @ w[:, :block].T).astype(np.int64)
+    for i in range(block, d_in, block):
+        acc += (act[:, i:i + block] @ w[:, i:i + block].T).astype(np.int64)
     if bias is not None:
         acc += bias
     return requantize(acc, m, k)
@@ -252,26 +342,27 @@ def _requantized_dot(act, w: np.ndarray, bias, m, k: int) -> np.ndarray:
 
 def int8_matmul(act, w_q, bias, m, k: int) -> np.ndarray:
     """out[t, o] = clamp(rhu((sum_i act[t,i] * w[o,i] + bias[o]) * m[o] >> k)),
-    the sums exact in float64 BLAS."""
+    the sums exact in float32 BLAS; w_q holds int8 values, as int8 or float32."""
     return _requantized_dot(act, w_q, bias, m, k)
 
 
 _FIELD_SHIFTS = np.arange(0, 32, 2, dtype=np.uint32)
 
 
-def unpack_rows(words: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def unpack_rows(words: np.ndarray, shape: tuple[int, int], dtype=np.int8) -> np.ndarray:
     """Shift-and-mask extraction of the 2-bit fields of a (rows, cols)
-    tensor, mapped back to {-1, 0, +1} as int8."""
+    tensor, mapped back to {-1, 0, +1} in ``dtype``."""
     d_out, d_in = shape
-    fields = ((words[:, None] >> _FIELD_SHIFTS) & np.uint32(3)).astype(np.int8).ravel()
+    fields = ((words[:, None] >> _FIELD_SHIFTS) & np.uint32(3)).astype(dtype).ravel()
     out = fields[:d_out * d_in].reshape(d_out, d_in)
     out -= 1
     return out
 
 
 def ternary_matmul(act, words, shape, bias, m, k: int) -> np.ndarray:
-    """int8_matmul with the weights unpacked from their 2-bit fields per call."""
-    return _requantized_dot(act, unpack_rows(words, shape), bias, m, k)
+    """int8_matmul with the weights unpacked from their 2-bit fields, straight
+    to float32, per call."""
+    return _requantized_dot(act, unpack_rows(words, shape, np.float32), bias, m, k)
 
 
 def depthwise_conv_int8(x, kernel, bias, m, k: int) -> np.ndarray:
@@ -307,14 +398,17 @@ class EngineStats:
         return self
 
 
-def q15_scan_core(abar, bx, stats: EngineStats | None = None) -> np.ndarray:
-    """h_t = sat(q15_mul(abar_t, h_{t-1}) + bx_t), h_0 = 0, in int32.
+def q15_scan_core(abar, bx, stats: EngineStats | None = None, h0=None) -> np.ndarray:
+    """h_t = sat(q15_mul(abar_t, h_{t-1}) + bx_t), in int32, from the state
+    h0 (read only; default 0), so a scan split in time carries its last state
+    into the next call.
 
     abar: (T, C, S) or (C, S); bx: (T, C, S); both hold Q15 values (the
     int16 range). Each step computes ((abar_t * h + 2^14) >> 15) + bx_t, which
     equals q15_mul(abar_t, h) + bx_t before saturation and stays inside int32:
     |abar_t * h| <= 2^30. Returns the int32 state sequence h of shape
-    (T, C, S).
+    (T, C, S). The steps are element-wise, so the state axes may come in
+    either order; the engine passes (T, S, C).
 
     Inputs already in int32 are the work buffers and are overwritten: bx by
     the sums before saturation, and a (T, C, S) abar by the states, which
@@ -325,8 +419,8 @@ def q15_scan_core(abar, bx, stats: EngineStats | None = None) -> np.ndarray:
     v = np.asarray(bx, dtype=np.int32)
     time_varying = abar.ndim == 3
     hs = abar if time_varying else np.empty_like(v)
-    h = np.zeros(v.shape[1:], dtype=np.int32)
-    decay = np.empty_like(h)
+    h = np.zeros(v.shape[1:], dtype=np.int32) if h0 is None else np.asarray(h0, np.int32)
+    decay = np.empty(v.shape[1:], dtype=np.int32)
     # full-size bounds: numpy's min/max run much slower against a scalar
     lo, hi = np.full_like(h, Q15_MIN), np.full_like(h, Q15_MAX)
     for t in range(v.shape[0]):
@@ -355,7 +449,7 @@ def _matmul_layer(image, name: str, act) -> np.ndarray:
     t = image.tensors[name]
     if t.kind == "t2":
         return ternary_matmul(act, t.words, t.shape, t.bias, t.m, t.k)
-    return int8_matmul(act, t.q, t.bias, t.m, t.k)
+    return int8_matmul(act, t.f32, t.bias, t.m, t.k)
 
 
 def _values(t) -> np.ndarray:
@@ -372,11 +466,31 @@ def _align_add(q_a, n_a: int, q_b, n_b: int, n_out: int) -> np.ndarray:
     return np.clip(rhu_shift(v, n_hi - n_out), -INT8_MAX, INT8_MAX)
 
 
-def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q, abar: np.ndarray,
-                    bx: np.ndarray) -> tuple[np.ndarray, EngineStats]:
+A_PRODUCT_MAX = 1 << 37  # bounds |dt * a_coef|: int16 LUT output * int8 weight * Q15 multiplier
+
+
+def _exp_index(la: np.ndarray, k: int, lo: int, top: int):
+    """la := rhu(la, k) - lo in place, the rounding half and the table offset
+    folded into one add; exact wherever the result lies in [0, top], the
+    caller clips the rest. As |la| <= 2^37, every shift >= 39 gives 0 as 39
+    does, and |rhu(la, k)| <= r: an offset outside [-r - top - 1, r + 1]
+    leaves every index on the same side of [0, top] as the offset at that
+    end does. So the folded add stays below 2^60."""
+    if k > 0:
+        k = min(k, 39)
+        r = (A_PRODUCT_MAX >> k) + 1
+        lo = min(max(lo, -r - top - 1), r + 1)
+        la += (1 << (k - 1)) - (lo << k)
+        la >>= k
+    else:
+        la <<= -k
+        la -= lo
+
+
+def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q) -> tuple[np.ndarray, EngineStats]:
     """LUT-driven selective scan of the branch with tap prefix p; returns y
-    as INT8 and the branch's EngineStats. abar and bx are the caller's
-    (T, d_inner, d_state) int32 work buffers."""
+    as INT8 and the branch's EngineStats. Builds, scans and reads out a
+    chunk of time rows at a time."""
     exp_n = image.act_exp
     a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
     n_u, n_b, n_c = exp_n[p + "u"], exp_n[p + "b"], exp_n[p + "c"]
@@ -384,26 +498,32 @@ def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q, abar: np.ndarray,
 
     dt_fix = lut_eval(image.luts["softplus"],
                       widen(dtpre_q, exp_n[p + "dt_pre"], ACT_FRAC))  # (T, C), DT_FRAC
-    a_coef = _values(a_mat) * a_mat.m[:, None]  # (C, S) int64
+    # (S, C): every chunk array is laid out (rows, S, C), so its element-wise
+    # work runs along the d_inner axis instead of in runs of d_state
+    a_coef = (_values(a_mat) * a_mat.m[:, None]).T.copy()  # int64
     dt_u = dt_fix * u_q.astype(np.int32)
     b32 = b_q.astype(np.int32)
-    bx_shift = min(DT_FRAC + n_u + n_b - 15, 31)  # every shift >= 31 gives 0
+    # every shift >= 31 gives 0; a Python int, as a numpy int64 (act_exp's
+    # values) would run the in-place int32 shift through an int64 loop
+    bx_shift = int(min(DT_FRAC + n_u + n_b - 15, 31))
     exp = image.luts["exp"]
-    exp_top = exp.dense.size - 1
+    c_dtype = np.int32 if c_q.shape[1] * INT8_MAX * Q15_ONE < 2**31 else np.int64
+    c_w = c_q.astype(c_dtype)
 
-    t_len = abar.shape[0]
-    rows = max(1, SCAN_CHUNK // (abar.shape[1] * abar.shape[2]))
-    wide = np.empty((rows,) + abar.shape[1:], dtype=np.int64)
+    t_len = dt_fix.shape[0]
+    rows = max(1, SCAN_CHUNK // a_coef.size)
+    la = np.empty((rows,) + a_coef.shape, dtype=np.int64)
+    abar, bx = np.empty(la.shape, dtype=np.int32), np.empty(la.shape, dtype=np.int32)
+    y_acc = np.empty((t_len, a_coef.shape[1]), dtype=c_dtype)
+    h = None
     for t0 in range(0, t_len, rows):
         t = slice(t0, t0 + rows)
-        la = wide[:min(rows, t_len - t0)]
-        np.multiply(dt_fix[t, :, None], a_coef, out=la)
-        _rhu_inplace(la, a_mat.k)
-        np.clip(la, exp.lo_fixed, exp.lo_fixed + exp_top, out=la)
-        la -= exp.lo_fixed
-        np.take(exp.dense, la, out=abar[t])
-        xb = bx[t]
-        np.multiply(dt_u[t, :, None], b32[t, None, :], out=xb)
+        n = min(rows, t_len - t0)
+        np.multiply(dt_fix[t, None, :], a_coef, out=la[:n])
+        _exp_index(la[:n], a_mat.k, exp.lo_fixed, exp.dense.size - 1)
+        np.take(exp.dense, la[:n], out=abar[:n], mode="clip")
+        xb = bx[:n]
+        np.multiply(dt_u[t, None, :], b32[t, :, None], out=xb)
         if bx_shift < 0:
             np.clip(xb, -2 * Q15_ONE, 2 * Q15_ONE, out=xb)
         _rhu_inplace(xb, bx_shift)
@@ -411,10 +531,10 @@ def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q, abar: np.ndarray,
         if n_sat:
             stats.scan_sat_events += int(n_sat)
             np.clip(xb, Q15_MIN, Q15_MAX, out=xb)
+        hs = q15_scan_core(abar[:n], xb, stats=stats, h0=h)
+        h = hs[-1].copy()  # the next chunk's gather overwrites hs
+        np.einsum("ts,tsc->tc", c_w[t], hs, out=y_acc[t])
 
-    h = q15_scan_core(abar, bx, stats=stats)
-    c_dtype = np.int32 if c_q.shape[1] * INT8_MAX * Q15_ONE < 2**31 else np.int64
-    y_acc = np.einsum("ts,tcs->tc", c_q.astype(c_dtype), h)
     du = rhu_shift(_values(d_skip) * u_q * d_skip.m[0], d_skip.k)
     y_q = np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]), -INT8_MAX, INT8_MAX)
     return y_q, stats
@@ -458,18 +578,20 @@ def _branch_out(image, p: str, y_q, gate_q, rec) -> np.ndarray:
 DIRECTIONS = ("fwd", "bwd")
 
 
+@_one_blas_thread()
 def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
     """Full integer pipeline on one window.
 
-    workers is the number of threads (default: FEMBA_THREADS, else the CPU
-    count); from two up, a block's two scan directions run at once, and one
-    runs everything in the calling thread. Returns (logits_i32,
+    workers is the number of threads (default: FEMBA_THREADS, else one);
+    from two up, a block's two scan directions run at once, and one runs
+    everything in the calling thread. Returns (logits_i32,
     logits_float, stats). With trace, every INT8 activation tensor is
     recorded as int8 under its quantization-point name, plus 'logits_i32'.
+    Every loaded OpenBLAS runs on one thread until the call returns.
     """
     cfg = image.cfg
-    threaded = worker_count(workers) > 1
+    threaded = worker_count(workers, default=1) > 1
     stats = EngineStats()
     exp_n = image.act_exp
 
@@ -492,9 +614,6 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
         rhu_shift(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]),
         -INT8_MAX, INT8_MAX))
 
-    scan_shape = (cfg.n_tokens, cfg.d_inner, cfg.d_state)
-    buffers = {d: (np.empty(scan_shape, np.int32), np.empty(scan_shape, np.int32))
-               for d in DIRECTIONS}
     block_in_exp = exp_n["tokens"]
     with ThreadPoolExecutor(max_workers=1) as pool:  # its thread starts at the first submit
         for i in range(cfg.n_blocks):
@@ -507,7 +626,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
                 gates[d], scan_in[d] = _branch_in(image, prefix[d], seq, recs[d])
 
             def scan(d):
-                return _scan_direction(image, prefix[d], *scan_in[d], *buffers[d])
+                return _scan_direction(image, prefix[d], *scan_in[d])
 
             bwd = pool.submit(scan, "bwd") if threaded else None
             scanned = {"fwd": scan("fwd"), "bwd": bwd.result() if bwd else scan("bwd")}

@@ -20,6 +20,7 @@ no left shift of an exponent difference exceeds 24 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +60,10 @@ def fold_mk(ratios) -> tuple[np.ndarray, int]:
 
 
 def _bias_to_int32(bias: np.ndarray, acc_lsb: np.ndarray) -> np.ndarray:
-    q = qz.round_half_away(np.asarray(bias, dtype=np.float64) / acc_lsb)
-    return np.clip(q, -INT32_MAX, INT32_MAX).astype(np.int64)
+    """Each bias rounded onto its accumulator grid, clipped to INT32 in
+    float64 first so that no value wraps in the cast."""
+    v = np.clip(np.asarray(bias, dtype=np.float64) / acc_lsb, -INT32_MAX, INT32_MAX)
+    return qz.round_half_away(v)
 
 
 # ---------------------------------------------------------------------------
@@ -133,26 +136,34 @@ def checkpoint_container(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> ct.Co
 
 
 def load_checkpoint(path) -> tuple[fm.FembaWeights, fm.ModelConfig]:
+    """The weights and config of a float checkpoint; FormatError when an
+    array holds a value that is not finite."""
     c = ct.Container.load(path)
     cfg, _ = _config_from_vec(c.array("config"), c.array("config_f"))
+
+    def array(name: str) -> np.ndarray:
+        a = c.array(name).astype(np.float64)
+        if not np.all(np.isfinite(a)):
+            raise ct.FormatError(f"entry {name!r}: values are not finite")
+        return a
+
     blocks = []
     for i in range(cfg.n_blocks):
         branches = {}
         for d in ("fwd", "bwd"):
-            kw = {name: c.array(f"blocks.{i}.{d}.{name}").astype(np.float64)
-                  for name in _BRANCH_FIELDS}
+            kw = {name: array(f"blocks.{i}.{d}.{name}") for name in _BRANCH_FIELDS}
             branches[d] = fm.BranchParams(**kw)
         fuse = None
         if f"blocks.{i}.fuse_proj" in c:
-            fuse = c.array(f"blocks.{i}.fuse_proj").astype(np.float64)
+            fuse = array(f"blocks.{i}.fuse_proj")
         blocks.append(fm.BlockParams(branches["fwd"], branches["bwd"], fuse))
     w = fm.FembaWeights(
-        tok_kernel=c.array("tokenizer.weight").astype(np.float64),
-        tok_bias=c.array("tokenizer.bias").astype(np.float64),
-        pos_embed=c.array("pos_embed").astype(np.float64),
+        tok_kernel=array("tokenizer.weight"),
+        tok_bias=array("tokenizer.bias"),
+        pos_embed=array("pos_embed"),
         blocks=blocks,
-        head_w=c.array("head.weight").astype(np.float64),
-        head_b=c.array("head.bias").astype(np.float64))
+        head_w=array("head.weight"),
+        head_b=array("head.bias"))
     return w, cfg
 
 
@@ -180,6 +191,11 @@ class QTensor:
             return qz.unpack_ternary(self.words, self.shape).astype(np.int64)
         return self.q.astype(np.int64)
 
+    @functools.cached_property
+    def f32(self) -> np.ndarray:
+        """The i8 values as float32, converted once for the engine's matmuls."""
+        return self.q.astype(np.float32)
+
 
 @dataclass
 class EngineImage:
@@ -193,6 +209,24 @@ class EngineImage:
     pool_k: int
     head_dequant: np.ndarray
     luts: dict[str, eng.Lut]
+
+    @functools.cached_property
+    def float_view(self) -> dict[str, tuple]:
+        """Each tensor unfolded on its grids (see `requant_grids`) as
+        q·m·2^−k·2^(n_in−n_out), the head as q·head_dequant·2^n_in, and each
+        bias as its INT32 value on the accumulator grid. ``a_mat`` is clamped
+        at 0, as the integer paths' exp LUT clamps exp(delta*a) at 1. Built
+        on first use and kept, so walks over many windows share it (from
+        Python 3.12, first uses that overlap in time may each build it)."""
+        table = {}
+        for name, (n_in, n_out) in requant_grids(self.cfg, self.act_exp).items():
+            t = self.tensors[name]
+            ratio = self.head_dequant if name == "head" else t.m * 2.0 ** (-t.k)
+            scales = ratio * 2.0 ** (n_in - n_out)
+            w = t.dense() * scales[:, None]
+            b = None if t.bias is None else t.bias * (2.0 ** (-n_in) * scales)
+            table[name] = (np.minimum(w, 0.0) if name.endswith(".a_mat") else w, b)
+        return table
 
 
 # the container dtype that stores a weight of each bit width
@@ -274,20 +308,9 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
 
 
 def float_table(img: EngineImage) -> dict[str, tuple]:
-    """The image's float view as a `model.Walk` tensor table: each tensor
-    unfolded on its grids (see `requant_grids`) as q·m·2^−k·2^(n_in−n_out),
-    the head as q·head_dequant·2^n_in, and each bias as its INT32 value on
-    the accumulator grid. ``a_mat`` is clamped at 0, as the integer paths'
-    exp LUT clamps exp(delta*a) at 1."""
-    table = {}
-    for name, (n_in, n_out) in requant_grids(img.cfg, img.act_exp).items():
-        t = img.tensors[name]
-        ratio = img.head_dequant if name == "head" else t.m * 2.0 ** (-t.k)
-        scales = ratio * 2.0 ** (n_in - n_out)
-        w = t.dense() * scales[:, None]
-        b = None if t.bias is None else t.bias * (2.0 ** (-n_in) * scales)
-        table[name] = (np.minimum(w, 0.0) if name.endswith(".a_mat") else w, b)
-    return table
+    """The image's float view as a `model.Walk` tensor table
+    (`EngineImage.float_view`), unfolded once per image."""
+    return img.float_view
 
 
 def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from femba import container as ct
 from femba import engine as eng
 from femba import image as im
 from femba import model as fm
+from femba import reference as ref
 
 from conftest import TINY
 
@@ -143,6 +144,23 @@ class TestQuantize:
         assert exc.value.code == 2
         assert "invalid choice: 'fakequant'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,value", [("blocks.0.fwd.dt_bias", np.inf),
+                                             ("head.bias", np.nan),
+                                             ("pos_embed", -np.inf)])
+    def test_non_finite_checkpoint_exit_2(self, tmp_path, tiny_checkpoint, tiny_archive,
+                                          entry, value):
+        c = ct.Container.load(tiny_checkpoint)
+        a = c.array(entry).copy()
+        a.reshape(-1)[-1] = value
+        c.add(entry, ct.DT_F32, a)
+        bad = tmp_path / "bad.fmbc"
+        c.save(bad)
+        assert run("quantize", bad, tmp_path / "x.fmbc", "--mode", "w8a8",
+                   "--calib", tiny_archive) == 2
+        m = write_manifest(tmp_path, model=str(bad), mode="fp32", windows=tiny_archive,
+                           output=str(tmp_path / "l.fmbc"))
+        assert run("infer", m) == 2
+
     def test_missing_calib_exit_3(self, tmp_path, tiny_checkpoint):
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",
                    "--mode", "w8a8") == 3
@@ -198,6 +216,33 @@ class TestInfer:
         assert run("infer", m) == 0
         logits = ct.Container.load(out).array("logits")
         assert logits.shape[0] == 6 and np.all(np.isfinite(logits))
+
+    def test_fakequant_unfolds_the_image_once(self, tmp_path, monkeypatch, image_w8,
+                                              tiny_windows):
+        """Three windows of fakequant inference unfold the image into its
+        float view once, and write the logits of the image's float walk."""
+        wins = tmp_path / "three.fmbc"
+        cli.save_windows(str(wins), [w.astype(np.float32) for w in tiny_windows[:3]])
+        img = im.load_image(image_w8)
+        want = np.asarray([ref.fakequant_float_from_image(img, w)
+                           for w in cli.load_windows(str(wins))], dtype=np.float32)
+        builds = []
+        grids = im.requant_grids
+
+        def counted(cfg, exp):
+            builds.append(cfg)
+            return grids(cfg, exp)
+
+        monkeypatch.setattr(im, "requant_grids", counted)
+        # one worker: from Python 3.12 cached_property takes no lock, so two
+        # first walks started together may each build the view
+        monkeypatch.setenv("FEMBA_THREADS", "1")
+        out = tmp_path / "fq.fmbc"
+        m = write_manifest(tmp_path, model=image_w8, mode="fakequant",
+                           windows=str(wins), output=str(out))
+        assert run("infer", m) == 0
+        assert len(builds) == 1
+        assert ct.Container.load(out).array("logits").tobytes() == want.tobytes()
 
     def test_mode_mismatch_exit_3(self, tmp_path, image_w8, tiny_archive):
         m = write_manifest(tmp_path, model=image_w8, mode="w2a8",

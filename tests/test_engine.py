@@ -1,3 +1,6 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +139,18 @@ def naive_int8_matmul(act, w, bias, m, k):
     return out
 
 
+# columns of one float32 block at |act| = 127: b * 127 * 128 < 2^24
+F32_BLOCK = (2**24 - 1) // (127 * 128)
+
+
+def assert_accumulates_exactly(kernel, act, exact):
+    """kernel(act row, bias) through the identity requantizer returns the
+    small offsets the bias leaves after cancelling the exact sums."""
+    offsets = np.arange(-2, exact.shape[1] - 2)
+    for t in range(act.shape[0]):
+        np.testing.assert_array_equal(kernel(act[t:t + 1], offsets - exact[t])[0], offsets)
+
+
 class TestInt8Matmul:
     def test_identity_weights(self):
         act = np.array([[1, 2], [3, 4]])
@@ -181,6 +196,25 @@ class TestInt8Matmul:
             got = eng.int8_matmul(act[t:t + 1], w, offsets - exact[t], np.ones(4), 0)
             np.testing.assert_array_equal(got[0], offsets)
 
+    @pytest.mark.parametrize("d_in", [F32_BLOCK - 1, F32_BLOCK, F32_BLOCK + 1, 1540])
+    def test_float32_blocks_exact_at_extremes(self, d_in):
+        """|act| = 127 against w = +-128 (-128 included) and +-127, with d_in
+        just below, at and above one float32 block and at the full shape's
+        1540: the accumulators equal an int64 matmul to the unit."""
+        rng = np.random.default_rng(d_in)
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        act[0] = 127
+        w = rng.choice([-128, -127, 127], size=(4, d_in)).astype(np.int8)
+        w[0], w[1] = -128, 127  # the largest sums of either sign
+        w[0, -1] = -127  # an odd sum, which float32 cannot hold past 2^24
+        exact = act.astype(np.int64) @ w.astype(np.int64).T
+        assert exact[0, 0] == -(d_in - 1) * 127 * 128 - 127 * 127
+        assert_accumulates_exactly(
+            lambda a, bias: eng.int8_matmul(a, w, bias, np.ones(4), 0), act, exact)
+        assert_accumulates_exactly(
+            lambda a, bias: eng.int8_matmul(a, w.astype(np.float32), bias, np.ones(4), 0),
+            act, exact)
+
     def test_pow2_requant_equals_shift(self):
         rng = np.random.default_rng(2)
         acc = rng.integers(-(2**30), 2**30, size=10**6)
@@ -220,6 +254,20 @@ class TestTernaryMatmul:
             got = eng.ternary_matmul(act[t:t + 1], words, q.shape,
                                      offsets - exact[t], np.ones(3), 0)
             np.testing.assert_array_equal(got[0], offsets)
+
+    @pytest.mark.parametrize("d_in", [F32_BLOCK - 1, F32_BLOCK, F32_BLOCK + 1, 1540])
+    def test_float32_blocks_exact_at_extremes(self, d_in):
+        rng = np.random.default_rng(d_in)
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        q = rng.integers(-1, 2, size=(3, d_in)).astype(np.int8)
+        q[0] = np.sign(act[0])
+        q[1] = -1
+        exact = act.astype(np.int64) @ q.astype(np.int64).T
+        assert exact[0, 0] == d_in * 127
+        words = qz.pack_ternary(q)
+        assert_accumulates_exactly(
+            lambda a, bias: eng.ternary_matmul(a, words, q.shape, bias, np.ones(3), 0),
+            act, exact)
 
     def test_all_zero_weights_bias_only(self):
         words = qz.pack_ternary(np.zeros((2, 16), dtype=np.int8))
@@ -316,6 +364,30 @@ class TestQ15Scan:
         h8 = np.concatenate([eng.q15_scan_core(abar[ch], bx[:, ch], stats=parts)
                              for ch in np.array_split(np.arange(24), 8)], axis=1)
         np.testing.assert_array_equal(h1, h8)
+        assert parts == whole
+
+    @pytest.mark.parametrize("time_varying", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_time_chunks_carry_state(self, seed, time_varying):
+        """A scan split in time at any points, each piece started from the
+        last state of the one before, equals one whole call, statistics
+        included."""
+        rng = np.random.default_rng(seed)
+        t_len = 17
+        shape = (t_len, 5, 3) if time_varying else (5, 3)
+        abar = rng.integers(-32768, 32768, size=shape)
+        bx = rng.integers(-32768, 32768, size=(t_len, 5, 3))
+        whole = eng.EngineStats()
+        want = eng.q15_scan_core(abar, bx, stats=whole)
+        assert whole.scan_sat_events > 0
+        cuts = np.sort(rng.choice(np.arange(1, t_len), size=int(rng.integers(1, 8)),
+                                  replace=False))
+        parts, pieces, h = eng.EngineStats(), [], None
+        for t in np.split(np.arange(t_len), cuts):
+            a = abar[t] if time_varying else abar
+            pieces.append(eng.q15_scan_core(a, bx[t], stats=parts, h0=h))
+            h = pieces[-1][-1]
+        np.testing.assert_array_equal(np.concatenate(pieces), want)
         assert parts == whole
 
     def test_saturation_counted(self):
@@ -480,6 +552,51 @@ class TestEngineForward:
         for r in runs[1:]:
             np.testing.assert_array_equal(r, runs[0])
 
+    def test_scans_run_in_the_calling_thread_unless_asked(self, tiny_cfg, tiny_images,
+                                                          monkeypatch):
+        """Without workers and FEMBA_THREADS every scan runs in the caller's
+        thread; workers=2 or FEMBA_THREADS=2 moves each block's backward scan
+        to a second thread."""
+        real, seen = eng._scan_direction, []
+
+        def spy(image, p, *args):
+            seen.append((p.split(".")[2], threading.get_ident()))
+            return real(image, p, *args)
+
+        monkeypatch.setattr(eng, "_scan_direction", spy)
+        monkeypatch.delenv("FEMBA_THREADS", raising=False)
+        img, win = tiny_images["w8a8"], make_windows(tiny_cfg, 1, seed=779)[0]
+
+        def threads(**kw):
+            seen.clear()
+            eng.engine_forward(img, win, **kw)
+            return {d: {ident for dd, ident in seen if dd == d} for d in eng.DIRECTIONS}
+
+        me = {threading.get_ident()}
+        assert threads() == threads(workers=1) == {"fwd": me, "bwd": me}
+        by_arg = threads(workers=2)
+        monkeypatch.setenv("FEMBA_THREADS", "2")
+        by_env = threads()
+        for split in (by_arg, by_env):
+            assert split["fwd"] == me and split["bwd"] and not split["bwd"] & me
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_scan_chunks_of_rows_bit_exact(self, tiny_cfg, tiny_images, monkeypatch, rows):
+        """Scans built and run a few time rows at a time, their state carried
+        from chunk to chunk, equal the reference tap for tap, with the
+        statistics of one whole-sequence chunk."""
+        for img in tiny_images.values():
+            win = make_windows(tiny_cfg, 1, seed=778)[0]
+            _, _, whole = eng.engine_forward(img, win)
+            monkeypatch.setattr(eng, "SCAN_CHUNK", rows * tiny_cfg.d_inner * tiny_cfg.d_state)
+            tr_e, tr_r = {}, {}
+            _, _, chunked = eng.engine_forward(img, win, trace=tr_e)
+            ref.reference_int_forward(img, win, trace=tr_r)
+            monkeypatch.undo()
+            for tap in tr_r:
+                np.testing.assert_array_equal(tr_e[tap], tr_r[tap], err_msg=tap)
+            assert chunked == whole
+
     def test_saturation_rate_on_calibration_distribution(self, tiny_cfg):
         # a model whose hidden state stays inside Q15, like the full-shape
         # fan-in-scaled network (the tiny random init runs hotter per channel)
@@ -566,6 +683,99 @@ class TestEngineForward:
         bad.data[0] = 2**31 - 1
         with pytest.raises(eng.EngineConfigError):
             im.load_image(c)
+
+
+def blas_counts() -> list[int]:
+    return [get() for get, _ in eng._loaded_openblas()]
+
+
+class TestBlasThreads:
+    """engine_forward runs every loaded OpenBLAS on one thread and gives the
+    caller back its own count, also after an exception and when calls
+    overlap. A stand-in library at 4 threads sits next to the real ones, so
+    the checks bite also where the real count is already 1."""
+
+    @pytest.fixture()
+    def stand_in(self, monkeypatch):
+        """The counts set on the stand-in, in order."""
+        calls, count = [], [4]
+
+        def set_count(n):
+            calls.append(n)
+            count[0] = n
+
+        real = eng._loaded_openblas()
+        monkeypatch.setattr(eng, "_loaded_openblas",
+                            lambda: real + ((lambda: count[0], set_count),))
+        return calls
+
+    def test_one_thread_inside_and_count_restored(self, tiny_cfg, tiny_images,
+                                                  monkeypatch, stand_in):
+        before = blas_counts()
+        inside = []
+        kernel = eng.int8_matmul
+
+        def spy(*args):
+            inside.append(blas_counts())
+            return kernel(*args)
+
+        monkeypatch.setattr(eng, "int8_matmul", spy)
+        eng.engine_forward(tiny_images["w8a8"], make_windows(tiny_cfg, 1)[0])
+        assert inside and all(c == [1] * len(before) for c in inside)
+        assert blas_counts() == before and stand_in == [1, 4]
+
+    def test_count_restored_after_exception(self, tiny_images, stand_in):
+        before = blas_counts()
+        with pytest.raises(ValueError):
+            eng.engine_forward(tiny_images["w8a8"], np.zeros((3, 5)))
+        assert blas_counts() == before and stand_in == [1, 4]
+
+    def test_concurrent_calls_restore_once(self, tiny_cfg, tiny_images, monkeypatch, stand_in):
+        """Two overlapping forwards: the count is lowered when the first
+        enters and restored when the last leaves, once each."""
+        before = blas_counts()
+        both_inside = threading.Barrier(2, timeout=30)
+        kernel = eng.int8_matmul
+
+        def meet(*args):
+            if threading.current_thread().name.startswith("overlap"):
+                both_inside.wait()
+            return kernel(*args)
+
+        monkeypatch.setattr(eng, "int8_matmul", meet)
+        win = make_windows(tiny_cfg, 1)[0]
+        with ThreadPoolExecutor(2, thread_name_prefix="overlap") as pool:
+            runs = [pool.submit(eng.engine_forward, tiny_images["w8a8"], win, 1)
+                    for _ in range(2)]
+            logits = [r.result()[0] for r in runs]
+        np.testing.assert_array_equal(logits[0], logits[1])
+        assert blas_counts() == before and stand_in == [1, 4]
+
+    def test_many_threads_switching_often(self, tiny_cfg, tiny_images, stand_in):
+        """More callers than cores, switching threads every microsecond: the
+        stand-in goes down and back up in strict turns and ends where it
+        started."""
+        before = blas_counts()
+        img, win = tiny_images["w8a8"], make_windows(tiny_cfg, 1)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = [pool.submit(eng.engine_forward, img, win, 1) for _ in range(24)]
+                for r in runs:
+                    r.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert blas_counts() == before
+        assert stand_in[0::2] == [1] * (len(stand_in) // 2)
+        assert stand_in[1::2] == [4] * (len(stand_in) // 2) and stand_in[-1] == 4
+
+    def test_no_library_is_a_no_op(self, tiny_cfg, tiny_images, monkeypatch):
+        monkeypatch.setattr(eng, "_loaded_openblas", lambda: ())
+        win = make_windows(tiny_cfg, 1)[0]
+        got = eng.engine_forward(tiny_images["w8a8"], win)[0]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, eng.engine_forward(tiny_images["w8a8"], win)[0])
 
 
 class TestLoadImageChecks:

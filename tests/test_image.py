@@ -167,6 +167,28 @@ def test_shift_at_limit_loads_and_agrees():
     assert loads_or_rejects(c, make_windows(TINY, 1, seed=4))
 
 
+@pytest.mark.parametrize("k", [38, 46, 47, im.MAX_SHIFT])
+@pytest.mark.parametrize("lo", ["built", "lowest", "highest"])
+def test_exp_index_at_any_shift_and_offset_loads_and_agrees(k, lo):
+    """The scan folds 2^(k-1) - lo_fixed * 2^k into one int64 add. An a_mat
+    shift up to MAX_SHIFT, with the exp table's domain anywhere in int32,
+    still loads, and the engine agrees with the reference on it."""
+    c = build(TINY, "w8a8")
+    c.add("blocks.1.bwd.a_mat.k", ct.DT_I8, np.array([k], dtype=np.int8))
+    meta = c.get("luts.exp.meta")
+    span = (eng.LUT_SIZE - 1) << int(meta.data[3])
+    lo_fixed = {"built": int(meta.data[0]), "lowest": -2**31, "highest": 2**31 - 1 - span}[lo]
+    c.add("luts.exp.meta", meta.dtype, np.array([lo_fixed, *meta.data[1:]], dtype=np.int32))
+    assert_agree(im.load_image(c), make_windows(TINY, 1, seed=4))
+
+
+def test_bias_clipped_before_rounding():
+    """A bias past INT32 keeps its sign: it is clipped in float64 before
+    the cast to int64 can wrap it."""
+    got = im._bias_to_int32(np.array([1e30, 5.0, -1e30, 2.0**70]), np.ones(4))
+    np.testing.assert_array_equal(got, [im.INT32_MAX, 5, -im.INT32_MAX, im.INT32_MAX])
+
+
 _CONFIG_INDEX = {name: i for i, name in enumerate(im._CONFIG_DIMS + ("fusion", "mode"))}
 
 
