@@ -60,28 +60,25 @@ Parallelism
   scan runs on a second thread while the forward one runs in the calling
   thread (numpy releases the interpreter lock inside the array work).
   Everything else runs in the calling thread. One thread is the default:
-  the second saves 13-15 % of a full-shape window on average, but the time
-  then varies with how busy the other core is, and the per-step calls of
-  q15_scan_core are too short to share the interpreter lock well (both
-  directions' step loops took 31 ms on two threads, 22 ms on one).
+  on a 2-core host the second saves nothing (a full-shape w8a8 or w2a8
+  window took 1-5 % longer at the median on two threads than on one, in
+  sets of 12 alternated rounds), and the per-step calls of q15_scan_core
+  are too short to share the interpreter lock well (both directions' step
+  loops took 31 ms on two threads, 22 ms on one).
   Each scan runs sequentially over time; the saturating Q15 update is not
   associative, so time is never split across threads. A direction builds,
   scans and reads out c . h a chunk of time rows (SCAN_CHUNK values) at a
   time, carrying the state from chunk to chunk, so no (T, d_inner, d_state)
   buffer exists and a chunk's operands stay in cache. The result does not
-  depend on the thread count. During a forward the loaded OpenBLAS runs on
-  one thread: at these matrix sizes a second BLAS thread gains nothing, and
-  its idle worker spins on a core that a second scan thread or another
-  process needs. The caller's BLAS thread count is restored on exit.
+  depend on the thread count, nor on the BLAS library's, which the engine
+  leaves to the process: with two scan threads, OPENBLAS_NUM_THREADS=1
+  keeps the matmuls from taking the cores the scans run on.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,64 +117,6 @@ def worker_count(explicit: int | None = None, default: int | None = None) -> int
     if env:
         return max(1, int(env))
     return default or os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# one BLAS thread during a forward
-
-@functools.cache
-def _loaded_openblas() -> tuple:
-    """(get, set) of the thread count, through the C API, of every OpenBLAS
-    mapped into the process when the first forward runs (numpy's is loaded
-    with numpy); a library that cannot be opened or exports neither symbol
-    pair is left out."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
-    except OSError:
-        return ()
-    apis = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                apis.append((get, set_))
-                break
-    return tuple(apis)
-
-
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved: list = []  # (set, the caller's count) per library
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread. Concurrent
-    bodies share the lowered count; the last one out restores the count the
-    first one in found."""
-    global _blas_users, _blas_saved
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = [(set_, get()) for get, set_ in _loaded_openblas()]
-            for set_, _ in _blas_saved:
-                set_(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                for set_, count in _blas_saved:
-                    set_(count)
 
 
 def _rhu_inplace(v: np.ndarray, k: int):
@@ -311,11 +250,16 @@ SCAN_CHUNK = 100_000  # values per chunk of the fused scan: 4 time rows at full 
 F32_EXACT = 1 << 24  # float32 holds every integer below it exactly
 
 
+def _rhu_clip(v: np.ndarray, k: int, clamp: int = INT8_MAX) -> np.ndarray:
+    """clamp(rhu_shift(v, k)) symmetric, in place: v is a fresh int64 array
+    the caller gives up."""
+    _rhu_inplace(v, k)
+    return np.clip(v, -clamp, clamp, out=v)
+
+
 def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
     """acc (..., out) * per-channel m, shifted by k, clamped symmetric."""
-    scaled = np.asarray(acc, dtype=np.int64) * np.asarray(m, dtype=np.int64)
-    _rhu_inplace(scaled, k)
-    return np.clip(scaled, -clamp, clamp, out=scaled)
+    return _rhu_clip(np.asarray(acc, dtype=np.int64) * np.asarray(m, dtype=np.int64), k, clamp)
 
 
 def _requantized_dot(act, w: np.ndarray, bias, m, k: int) -> np.ndarray:
@@ -463,7 +407,7 @@ def _align_add(q_a, n_a: int, q_b, n_b: int, n_out: int) -> np.ndarray:
     n_hi = max(n_a, n_b)
     v = (np.asarray(q_a, dtype=np.int64) << (n_hi - n_a)) + \
         (np.asarray(q_b, dtype=np.int64) << (n_hi - n_b))
-    return np.clip(rhu_shift(v, n_hi - n_out), -INT8_MAX, INT8_MAX)
+    return _rhu_clip(v, n_hi - n_out)
 
 
 A_PRODUCT_MAX = 1 << 37  # bounds |dt * a_coef|: int16 LUT output * int8 weight * Q15 multiplier
@@ -536,7 +480,7 @@ def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q) -> tuple[np.ndarray, 
         np.einsum("ts,tsc->tc", c_w[t], hs, out=y_acc[t])
 
     du = rhu_shift(_values(d_skip) * u_q * d_skip.m[0], d_skip.k)
-    y_q = np.clip(rhu_shift(y_acc + du, (n_c + 15) - exp_n[p + "y"]), -INT8_MAX, INT8_MAX)
+    y_q = _rhu_clip(y_acc + du, (n_c + 15) - exp_n[p + "y"])
     return y_q, stats
 
 
@@ -553,8 +497,7 @@ def _branch_in(image, p: str, seq, rec):
         x_q, _values(conv), conv.bias, conv.m, conv.k))
 
     su = lut_eval(image.luts["silu"], widen(conv_q, exp_n[p + "conv"], ACT_FRAC))
-    u_q = rec(p + "u", np.clip(
-        rhu_shift(su, SILU_OUT_FRAC - exp_n[p + "u"]), -INT8_MAX, INT8_MAX))
+    u_q = rec(p + "u", _rhu_clip(su.astype(np.int64), SILU_OUT_FRAC - exp_n[p + "u"]))
 
     dbl = _matmul_layer(image, p + "x_proj", u_q)
     dr, ds = cfg.dt_rank, cfg.d_state
@@ -569,16 +512,14 @@ def _branch_out(image, p: str, y_q, gate_q, rec) -> np.ndarray:
     """The scan output y gated by SiLU(gate) and projected by out_proj."""
     exp_n = image.act_exp
     sg = lut_eval(image.luts["silu"], widen(gate_q, exp_n[p + "gate"], ACT_FRAC))
-    gated = rec(p + "gated", np.clip(
-        rhu_shift(y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]),
-        -INT8_MAX, INT8_MAX))
+    gated = rec(p + "gated", _rhu_clip(
+        y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]))
     return _matmul_layer(image, p + "out_proj", gated)
 
 
 DIRECTIONS = ("fwd", "bwd")
 
 
-@_one_blas_thread()
 def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
     """Full integer pipeline on one window.
@@ -588,7 +529,6 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     everything in the calling thread. Returns (logits_i32,
     logits_float, stats). With trace, every INT8 activation tensor is
     recorded as int8 under its quantization-point name, plus 'logits_i32'.
-    Every loaded OpenBLAS runs on one thread until the call returns.
     """
     cfg = image.cfg
     threaded = worker_count(workers, default=1) > 1
@@ -610,9 +550,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
 
     pos = image.tensors["pos"]
     pos_fixed = rhu_shift(_values(pos) * pos.m[:, None], pos.k)
-    tokens = rec("tokens", np.clip(
-        rhu_shift(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]),
-        -INT8_MAX, INT8_MAX))
+    tokens = rec("tokens", _rhu_clip(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]))
 
     block_in_exp = exp_n["tokens"]
     with ThreadPoolExecutor(max_workers=1) as pool:  # its thread starts at the first submit
@@ -651,9 +589,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
                 tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
             block_in_exp = exp_n[f"blocks.{i}.out"]
 
-    pool_acc = tokens.sum(axis=0)
-    pooled = rec("pooled", np.clip(
-        rhu_shift(pool_acc * np.int64(image.pool_m), image.pool_k), -INT8_MAX, INT8_MAX))
+    pooled = rec("pooled", requantize(tokens.sum(axis=0), image.pool_m, image.pool_k))
 
     head = image.tensors["head"]
     logits_i = pooled @ _values(head).T + head.bias

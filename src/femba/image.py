@@ -307,12 +307,6 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     return c
 
 
-def float_table(img: EngineImage) -> dict[str, tuple]:
-    """The image's float view as a `model.Walk` tensor table
-    (`EngineImage.float_view`), unfolded once per image."""
-    return img.float_view
-
-
 def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:
     """Entry ``name`` as a flat array, checked to hold ``size`` values of
     container dtype ``dtype``."""

@@ -152,7 +152,7 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
 
 def fakequant_float_from_image(image: im.EngineImage, window: np.ndarray) -> np.ndarray:
     """Float-arithmetic fake-quant forward of a deployment image: its float
-    view (`image.float_table`) with quantize/dequantize at every activation
+    view (`EngineImage.float_view`) with quantize/dequantize at every activation
     point and exact nonlinearities (the integer path's float-domain
     counterpart)."""
-    return fm.Walk(im.float_table(image), image.cfg, image.act_exp).run(window)
+    return fm.Walk(image.float_view, image.cfg, image.act_exp).run(window)

@@ -30,32 +30,6 @@ class FilterSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """Declarative filter description; apply with apply_filter."""
-    kind: str  # "bandpass" | "notch" | "lowpass_biquad"
-    cutoffs_hz: tuple
-    order: int = 4
-    q_factor: float = 30.0
-
-    def __post_init__(self):
-        if self.kind not in ("bandpass", "notch", "lowpass_biquad"):
-            raise FilterSpecError(f"unknown filter kind {self.kind!r}")
-        if self.order < 1:
-            raise FilterSpecError("order must be >= 1")
-        n_expected = 2 if self.kind == "bandpass" else 1
-        if len(self.cutoffs_hz) != n_expected:
-            raise FilterSpecError(f"{self.kind} takes {n_expected} cutoff(s)")
-
-
-def apply_filter(x: np.ndarray, fs: float, spec: FilterSpec) -> np.ndarray:
-    if spec.kind == "bandpass":
-        return bandpass(x, fs, *spec.cutoffs_hz, order=spec.order)
-    if spec.kind == "notch":
-        return notch(x, fs, spec.cutoffs_hz[0], spec.q_factor)
-    return lowpass_biquad(x, fs, spec.cutoffs_hz[0])
-
-
-@dataclass(frozen=True)
 class RawRecording:
     """Multichannel recording; samples is (channels, n) in microvolts."""
     samples: np.ndarray

@@ -685,97 +685,63 @@ class TestEngineForward:
             im.load_image(c)
 
 
-def blas_counts() -> list[int]:
-    return [get() for get, _ in eng._loaded_openblas()]
+@pytest.fixture(scope="module")
+def tiny_containers(tiny_cfg, tiny_weights, tiny_windows):
+    return {mode: im.build_image(tiny_cfg, qz.quantize_model(tiny_weights, tiny_cfg, mode,
+                                                             tiny_windows))
+            for mode in ("w8a8", "w2a8")}
 
 
-class TestBlasThreads:
-    """engine_forward runs every loaded OpenBLAS on one thread and gives the
-    caller back its own count, also after an exception and when calls
-    overlap. A stand-in library at 4 threads sits next to the real ones, so
-    the checks bite also where the real count is already 1."""
+class TestOverlappingForwards:
+    """Forwards that overlap in time on one image give what serial calls
+    give, also while they build the image's shared caches (Lut.dense,
+    QTensor.f32) among themselves."""
 
-    @pytest.fixture()
-    def stand_in(self, monkeypatch):
-        """The counts set on the stand-in, in order."""
-        calls, count = [], [4]
+    @staticmethod
+    def cached(img):
+        """Whether the exp table is built, and the tensors with float32 weights."""
+        return ("dense" in img.luts["exp"].__dict__,
+                {name for name, t in img.tensors.items() if "f32" in t.__dict__})
 
-        def set_count(n):
-            calls.append(n)
-            count[0] = n
+    @staticmethod
+    def forward(img, win, workers):
+        trace = {}
+        li, lf, stats = eng.engine_forward(img, win, workers=workers, trace=trace)
+        return li, lf, trace, stats
 
-        real = eng._loaded_openblas()
-        monkeypatch.setattr(eng, "_loaded_openblas",
-                            lambda: real + ((lambda: count[0], set_count),))
-        return calls
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("callers", [2, 8])
+    def test_equal_to_serial_calls(self, tiny_cfg, tiny_containers, callers, workers):
+        wins = make_windows(tiny_cfg, callers, seed=880)
+        for mode, c in tiny_containers.items():
+            serial = im.load_image(c)
+            want = [self.forward(serial, w, workers) for w in wins]
+            img = im.load_image(c)
+            assert self.cached(img) == (False, set())
+            start = threading.Barrier(callers, timeout=30)
 
-    def test_one_thread_inside_and_count_restored(self, tiny_cfg, tiny_images,
-                                                  monkeypatch, stand_in):
-        before = blas_counts()
-        inside = []
-        kernel = eng.int8_matmul
+            def call(j):
+                start.wait()
+                return [self.forward(img, wins[(j + r) % callers], workers) for r in range(3)]
 
-        def spy(*args):
-            inside.append(blas_counts())
-            return kernel(*args)
-
-        monkeypatch.setattr(eng, "int8_matmul", spy)
-        eng.engine_forward(tiny_images["w8a8"], make_windows(tiny_cfg, 1)[0])
-        assert inside and all(c == [1] * len(before) for c in inside)
-        assert blas_counts() == before and stand_in == [1, 4]
-
-    def test_count_restored_after_exception(self, tiny_images, stand_in):
-        before = blas_counts()
-        with pytest.raises(ValueError):
-            eng.engine_forward(tiny_images["w8a8"], np.zeros((3, 5)))
-        assert blas_counts() == before and stand_in == [1, 4]
-
-    def test_concurrent_calls_restore_once(self, tiny_cfg, tiny_images, monkeypatch, stand_in):
-        """Two overlapping forwards: the count is lowered when the first
-        enters and restored when the last leaves, once each."""
-        before = blas_counts()
-        both_inside = threading.Barrier(2, timeout=30)
-        kernel = eng.int8_matmul
-
-        def meet(*args):
-            if threading.current_thread().name.startswith("overlap"):
-                both_inside.wait()
-            return kernel(*args)
-
-        monkeypatch.setattr(eng, "int8_matmul", meet)
-        win = make_windows(tiny_cfg, 1)[0]
-        with ThreadPoolExecutor(2, thread_name_prefix="overlap") as pool:
-            runs = [pool.submit(eng.engine_forward, tiny_images["w8a8"], win, 1)
-                    for _ in range(2)]
-            logits = [r.result()[0] for r in runs]
-        np.testing.assert_array_equal(logits[0], logits[1])
-        assert blas_counts() == before and stand_in == [1, 4]
-
-    def test_many_threads_switching_often(self, tiny_cfg, tiny_images, stand_in):
-        """More callers than cores, switching threads every microsecond: the
-        stand-in goes down and back up in strict turns and ends where it
-        started."""
-        before = blas_counts()
-        img, win = tiny_images["w8a8"], make_windows(tiny_cfg, 1)[0]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                runs = [pool.submit(eng.engine_forward, img, win, 1) for _ in range(24)]
-                for r in runs:
-                    r.result(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert blas_counts() == before
-        assert stand_in[0::2] == [1] * (len(stand_in) // 2)
-        assert stand_in[1::2] == [4] * (len(stand_in) // 2) and stand_in[-1] == 4
-
-    def test_no_library_is_a_no_op(self, tiny_cfg, tiny_images, monkeypatch):
-        monkeypatch.setattr(eng, "_loaded_openblas", lambda: ())
-        win = make_windows(tiny_cfg, 1)[0]
-        got = eng.engine_forward(tiny_images["w8a8"], win)[0]
-        monkeypatch.undo()
-        np.testing.assert_array_equal(got, eng.engine_forward(tiny_images["w8a8"], win)[0])
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often inside the forwards
+            try:
+                with ThreadPoolExecutor(callers) as pool:
+                    got = list(pool.map(call, range(callers)))
+            finally:
+                sys.setswitchinterval(interval)
+            built = self.cached(img)
+            assert built == self.cached(serial) and built[0] and bool(built[1]) == (mode == "w8a8")
+            for j, runs in enumerate(got):
+                for r, (li, lf, trace, stats) in enumerate(runs):
+                    w_li, w_lf, w_trace, w_stats = want[(j + r) % callers]
+                    np.testing.assert_array_equal(li, w_li)
+                    np.testing.assert_array_equal(lf, w_lf)
+                    assert list(trace) == list(w_trace) and stats == w_stats, mode
+                    for tap, arr in w_trace.items():
+                        assert trace[tap].dtype == arr.dtype, tap
+                        np.testing.assert_array_equal(trace[tap], arr, err_msg=tap)
 
 
 class TestLoadImageChecks:

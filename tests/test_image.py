@@ -379,7 +379,7 @@ def test_float_view_is_each_tensor_dequantized(cfg, mode):
     art = qz.quantize_model(fm.init_weights(cfg, seed=11), cfg, mode,
                             make_windows(cfg, 6, seed=12))
     img = im.load_image(im.build_image(cfg, art))
-    table = im.float_table(img)
+    table = img.float_view
     slack = 1 + 1e-12  # float rounding of the products compared here
     for name, _ in qz.tensor_shapes(cfg):
         t, qt = img.tensors[name], art.weights_q[name]

@@ -277,24 +277,3 @@ def test_preprocess_empty_recording():
     wins, prov = sp.preprocess_recording(rec)
     assert wins == [] and prov == []
 
-
-class TestFilterSpec:
-    def test_apply_matches_direct_calls(self):
-        x = np.random.default_rng(9).normal(size=(2, 512))
-        spec = sp.FilterSpec("bandpass", (1.0, 75.0), order=4)
-        np.testing.assert_array_equal(sp.apply_filter(x, FS, spec),
-                                      sp.bandpass(x, FS, 1.0, 75.0))
-        spec = sp.FilterSpec("notch", (60.0,), q_factor=30.0)
-        np.testing.assert_array_equal(sp.apply_filter(x, FS, spec),
-                                      sp.notch(x, FS, 60.0, 30.0))
-        spec = sp.FilterSpec("lowpass_biquad", (40.0,))
-        np.testing.assert_array_equal(sp.apply_filter(x, FS, spec),
-                                      sp.lowpass_biquad(x, FS, 40.0))
-
-    def test_validation(self):
-        with pytest.raises(sp.FilterSpecError):
-            sp.FilterSpec("highpass", (1.0,))
-        with pytest.raises(sp.FilterSpecError):
-            sp.FilterSpec("bandpass", (1.0,))
-        with pytest.raises(sp.FilterSpecError):
-            sp.FilterSpec("notch", (60.0,), order=0)
