@@ -6,11 +6,11 @@ engine (integer inference), reference (bit-exactness oracle), streamsim
 (memory-streaming cycle simulator), objectives (losses), cli.
 """
 
-from .model import FembaWeights, ModelConfig, forward, init_weights
+from .model import ModelConfig, forward, init_weights
 from .quantizer import quantize_model
 from .streamsim import CostModel, MemHierarchy, mac_count, run_default
 
 __all__ = [
-    "ModelConfig", "FembaWeights", "forward", "init_weights",
+    "ModelConfig", "forward", "init_weights",
     "quantize_model", "MemHierarchy", "CostModel", "mac_count", "run_default",
 ]

@@ -95,13 +95,13 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    weights, cfg = im.load_checkpoint(args.checkpoint)
     if args.mode == "fp32":
-        # byte-preserving repack of the float checkpoint
+        # byte-preserving repack of the float checkpoint just checked
         c = ct.Container.load(args.checkpoint)
         c.save(args.output)
         print(im.image_summary(c))
         return EXIT_OK
-    weights, cfg = im.load_checkpoint(args.checkpoint)
     if args.calib is None:
         raise CliConfigError(f"mode {args.mode!r} requires --calib windows")
     calib = list(load_windows(args.calib))

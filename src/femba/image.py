@@ -74,9 +74,6 @@ _MODE_IDX = {name: i for i, name in enumerate(qz.MODES)}
 _CONFIG_DIMS = ("d_model", "d_inner", "d_state", "d_conv", "n_blocks", "n_tokens",
                 "n_channels", "n_samples", "patch_size", "n_classes", "dt_rank")
 
-_BRANCH_FIELDS = ("in_proj", "conv_w", "conv_b", "x_proj", "dt_proj",
-                  "dt_bias", "a_log", "d_skip", "out_proj")
-
 
 def _config_vec(cfg: fm.ModelConfig, mode: str) -> np.ndarray:
     return np.array([getattr(cfg, name) for name in _CONFIG_DIMS] +
@@ -111,60 +108,33 @@ def _config_from_vec(vec: np.ndarray, fvec: np.ndarray) -> tuple[fm.ModelConfig,
     return cfg, list(qz.MODES)[mode]
 
 
-def save_checkpoint(weights: fm.FembaWeights, cfg: fm.ModelConfig, path):
-    c = checkpoint_container(weights, cfg)
-    c.save(path)
-
-
-def checkpoint_container(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> ct.Container:
+def save_checkpoint(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, path):
+    """Write a float checkpoint: the config, then every parameter of
+    `model.param_shapes` as f32 under its own name."""
     c = ct.Container()
     c.add("config", ct.DT_I32, _config_vec(cfg, "fp32"))
     c.add("config_f", ct.DT_F32, np.array([cfg.dt_min, cfg.dt_max], dtype=np.float32))
-    c.add("tokenizer.weight", ct.DT_F32, weights.tok_kernel.astype(np.float32))
-    c.add("tokenizer.bias", ct.DT_F32, weights.tok_bias.astype(np.float32))
-    c.add("pos_embed", ct.DT_F32, weights.pos_embed.astype(np.float32))
-    for i, blk in enumerate(weights.blocks):
-        for d, br in (("fwd", blk.fwd), ("bwd", blk.bwd)):
-            for name in _BRANCH_FIELDS:
-                c.add(f"blocks.{i}.{d}.{name}", ct.DT_F32,
-                      getattr(br, name).astype(np.float32))
-        if blk.fuse_proj is not None:
-            c.add(f"blocks.{i}.fuse_proj", ct.DT_F32, blk.fuse_proj.astype(np.float32))
-    c.add("head.weight", ct.DT_F32, weights.head_w.astype(np.float32))
-    c.add("head.bias", ct.DT_F32, weights.head_b.astype(np.float32))
-    return c
+    for name, _ in fm.param_shapes(cfg):
+        c.add(name, ct.DT_F32, weights[name].astype(np.float32))
+    c.save(path)
 
 
-def load_checkpoint(path) -> tuple[fm.FembaWeights, fm.ModelConfig]:
-    """The weights and config of a float checkpoint; FormatError when an
-    array holds a value that is not finite."""
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], fm.ModelConfig]:
+    """The weights and config of a float checkpoint; FormatError unless every
+    parameter of `model.param_shapes` is an f32 entry of its listed dims
+    holding finite values."""
     c = ct.Container.load(path)
     cfg, _ = _config_from_vec(c.array("config"), c.array("config_f"))
-
-    def array(name: str) -> np.ndarray:
-        a = c.array(name).astype(np.float64)
+    weights = {}
+    for name, shape in fm.param_shapes(cfg):
+        e = c.get(name)
+        if e.dtype != ct.DT_F32 or e.dims != shape:
+            raise ct.FormatError(f"entry {name!r}: dtype {e.dtype} and dims {e.dims}, "
+                                 f"expected f32 of the config's dims {shape}")
+        a = weights[name] = e.data.reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(a)):
             raise ct.FormatError(f"entry {name!r}: values are not finite")
-        return a
-
-    blocks = []
-    for i in range(cfg.n_blocks):
-        branches = {}
-        for d in ("fwd", "bwd"):
-            kw = {name: array(f"blocks.{i}.{d}.{name}") for name in _BRANCH_FIELDS}
-            branches[d] = fm.BranchParams(**kw)
-        fuse = None
-        if f"blocks.{i}.fuse_proj" in c:
-            fuse = array(f"blocks.{i}.fuse_proj")
-        blocks.append(fm.BlockParams(branches["fwd"], branches["bwd"], fuse))
-    w = fm.FembaWeights(
-        tok_kernel=array("tokenizer.weight"),
-        tok_bias=array("tokenizer.bias"),
-        pos_embed=array("pos_embed"),
-        blocks=blocks,
-        head_w=array("head.weight"),
-        head_b=array("head.bias"))
-    return w, cfg
+    return weights, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +246,6 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     INT32 on its accumulator grid."""
     if art.mode == "fp32" or not art.act:
         raise qz.CalibrationError("deployment image requires calibrated artifacts")
-    if cfg.fusion == "concat_project":
-        raise eng.EngineConfigError("integer paths support sum/mean fusion only")
     exp = {t: art.exponent(t) for t in fm.quant_points(cfg)}
     c = ct.Container()
     c.add("config", ct.DT_I32, _config_vec(cfg, art.mode))
@@ -364,14 +332,12 @@ def load_image(source) -> EngineImage:
     activation exponent or a lookup table does not fit the integer paths,
     and EngineConfigError when a layer could overflow its INT32 accumulator,
     any requantizer could leave int64 range, or the container is not an
-    integer-mode image with sum or mean fusion.
+    integer-mode image.
     """
     c = source if isinstance(source, ct.Container) else ct.Container.load(source)
     cfg, mode = _config_from_vec(c.array("config"), c.array("config_f"))
     if mode == "fp32":
         raise eng.EngineConfigError("container is a float checkpoint, not a deployment image")
-    if cfg.fusion == "concat_project":
-        raise eng.EngineConfigError("integer paths support sum/mean fusion only")
     luts = {name: _read_lut(c, name) for name in eng.LUT_FORMATS}
 
     # inputs of the requantizers without a bias; a scan step is at most the

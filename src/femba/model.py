@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-FUSION_MODES = ("sum", "mean", "concat_project")
+FUSION_MODES = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -59,37 +59,6 @@ class ModelConfig:
         return self.n_tokens // self.n_patches
 
 
-@dataclass
-class BranchParams:
-    """One scan direction: projections, local conv, and SSM parameters."""
-    in_proj: np.ndarray   # (2*d_inner, d_model)
-    conv_w: np.ndarray    # (d_inner, d_conv), last tap is the current sample
-    conv_b: np.ndarray    # (d_inner,)
-    x_proj: np.ndarray    # (dt_rank + 2*d_state, d_inner)
-    dt_proj: np.ndarray   # (d_inner, dt_rank)
-    dt_bias: np.ndarray   # (d_inner,)
-    a_log: np.ndarray     # (d_inner, d_state); A = -exp(a_log)
-    d_skip: np.ndarray    # (d_inner,)
-    out_proj: np.ndarray  # (d_model, d_inner)
-
-
-@dataclass
-class BlockParams:
-    fwd: BranchParams
-    bwd: BranchParams
-    fuse_proj: np.ndarray | None = None  # (d_model, 2*d_model) for concat_project
-
-
-@dataclass
-class FembaWeights:
-    tok_kernel: np.ndarray  # (n_groups*d_model, n_channels, patch_size)
-    tok_bias: np.ndarray    # (n_groups*d_model,)
-    pos_embed: np.ndarray   # (n_tokens, d_model)
-    blocks: list[BlockParams] = field(default_factory=list)
-    head_w: np.ndarray = None  # (n_classes, d_model)
-    head_b: np.ndarray = None  # (n_classes,)
-
-
 def silu(x):
     return x / (1.0 + np.exp(-x))
 
@@ -99,68 +68,58 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _init_branch(cfg: ModelConfig, rng: np.random.Generator) -> BranchParams:
-    dm, di, ds, dc, dr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.d_conv, cfg.dt_rank
-    def lin(n_out, n_in):
-        return rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in))
-    a = np.tile(np.arange(1, ds + 1, dtype=np.float64), (di, 1))
-    dt_bias = np.log(np.expm1(rng.uniform(1e-3, 0.1, size=di)))  # softplus inverse
-    return BranchParams(
-        in_proj=lin(2 * di, dm),
-        conv_w=rng.normal(0.0, 1.0 / math.sqrt(dc), size=(di, dc)),
-        conv_b=np.zeros(di),
-        x_proj=lin(dr + 2 * ds, di),
-        dt_proj=rng.normal(0.0, dr ** -0.5, size=(di, dr)),
-        dt_bias=dt_bias,
-        a_log=np.log(a),
-        d_skip=np.ones(di),
-        out_proj=lin(dm, di),
-    )
+def param_shapes(cfg: ModelConfig):
+    """(name, dims) of every float parameter under its checkpoint entry name,
+    in checkpoint entry order; the one list of the float model's weights. A
+    tokenizer kernel row is one feature over a (channels x patch) block, a
+    ``conv_w`` row one channel's causal taps (the last tap is the current
+    step), and A = -exp(``a_log``)."""
+    dm, di, ds, dr = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.dt_rank
+    gd = cfg.n_groups * dm
+    yield "tokenizer.weight", (gd, cfg.n_channels, cfg.patch_size)
+    yield "tokenizer.bias", (gd,)
+    yield "pos_embed", (cfg.n_tokens, dm)
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            yield from ((p + "in_proj", (2 * di, dm)), (p + "conv_w", (di, cfg.d_conv)),
+                        (p + "conv_b", (di,)), (p + "x_proj", (dr + 2 * ds, di)),
+                        (p + "dt_proj", (di, dr)), (p + "dt_bias", (di,)),
+                        (p + "a_log", (di, ds)), (p + "d_skip", (di,)),
+                        (p + "out_proj", (dm, di)))
+    yield "head.weight", (cfg.n_classes, dm)
+    yield "head.bias", (cfg.n_classes,)
 
 
-def init_weights(cfg: ModelConfig, seed: int = 0) -> FembaWeights:
-    """Random initialization with standard fan-in scaling; for tests and demos."""
-    return _make_weights(cfg, np.random.default_rng(seed))
+def zero_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """All weights zero except the state matrices' a_log, which make
+    A = -[1, ..., d_state] in every channel."""
+    a_log = np.log(np.tile(np.arange(1, cfg.d_state + 1, dtype=np.float64), (cfg.d_inner, 1)))
+    return {name: a_log.copy() if name.endswith(".a_log") else np.zeros(shape)
+            for name, shape in param_shapes(cfg)}
 
 
-class _ZeroDraws:
-    """Stands in for the random generator of `_make_weights`: every draw is
-    zeros (uniform draws take their lower bound)."""
-
-    def normal(self, loc, scale, size):
-        return np.zeros(size)
-
-    def uniform(self, low, high, size):
-        return np.full(size, float(low))
-
-
-def _make_weights(cfg: ModelConfig, rng) -> FembaWeights:
-    gd = cfg.n_groups * cfg.d_model
-    blocks = []
-    for _ in range(cfg.n_blocks):
-        fuse = None
-        if cfg.fusion == "concat_project":
-            fuse = rng.normal(0.0, (2 * cfg.d_model) ** -0.5,
-                              size=(cfg.d_model, 2 * cfg.d_model))
-        blocks.append(BlockParams(_init_branch(cfg, rng), _init_branch(cfg, rng), fuse))
-    return FembaWeights(
-        tok_kernel=rng.normal(0.0, (cfg.n_channels * cfg.patch_size) ** -0.5,
-                              size=(gd, cfg.n_channels, cfg.patch_size)),
-        tok_bias=np.zeros(gd),
-        pos_embed=rng.normal(0.0, 0.02, size=(cfg.n_tokens, cfg.d_model)),
-        blocks=blocks,
-        head_w=rng.normal(0.0, cfg.d_model ** -0.5, size=(cfg.n_classes, cfg.d_model)),
-        head_b=np.zeros(cfg.n_classes),
-    )
-
-
-def zero_weights(cfg: ModelConfig) -> FembaWeights:
-    """All weights zero except the state matrices' a_log."""
-    w = _make_weights(cfg, _ZeroDraws())
-    for blk in w.blocks:
-        for br in (blk.fwd, blk.bwd):
-            br.dt_bias = np.zeros_like(br.dt_bias)
-            br.d_skip = np.zeros_like(br.d_skip)
+def init_weights(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
+    """Random initialization with standard fan-in scaling; for tests and demos.
+    Biases start at zero, d_skip at one and a_log as in `zero_weights`; each
+    branch draws its dt_bias first, then its projections and kernel."""
+    rng = np.random.default_rng(seed)
+    dm, di = cfg.d_model, cfg.d_inner
+    w = zero_weights(cfg)
+    scales = {"in_proj": 1.0 / math.sqrt(dm), "conv_w": 1.0 / math.sqrt(cfg.d_conv),
+              "x_proj": 1.0 / math.sqrt(di), "dt_proj": cfg.dt_rank ** -0.5,
+              "out_proj": 1.0 / math.sqrt(di)}
+    for i in range(cfg.n_blocks):
+        for d in ("fwd", "bwd"):
+            p = f"blocks.{i}.{d}."
+            # dt_bias is the softplus inverse of a step drawn from [1e-3, 0.1)
+            w[p + "dt_bias"] = np.log(np.expm1(rng.uniform(1e-3, 0.1, size=di)))
+            w[p + "d_skip"] = np.ones(di)
+            for name, scale in scales.items():
+                w[p + name] = rng.normal(0.0, scale, size=w[p + name].shape)
+    for name, scale in (("tokenizer.weight", (cfg.n_channels * cfg.patch_size) ** -0.5),
+                        ("pos_embed", 0.02), ("head.weight", dm ** -0.5)):
+        w[name] = rng.normal(0.0, scale, size=w[name].shape)
     return w
 
 
@@ -218,17 +177,6 @@ def causal_depthwise_conv(x: np.ndarray, conv_w: np.ndarray, conv_b: np.ndarray)
     return out + conv_b
 
 
-def fuse_branches(f: np.ndarray, b: np.ndarray, cfg: ModelConfig,
-                  fuse_proj: np.ndarray | None = None) -> np.ndarray:
-    if cfg.fusion == "sum":
-        return f + b
-    if cfg.fusion == "mean":
-        return 0.5 * (f + b)
-    if fuse_proj is None:
-        raise ValueError("concat_project fusion requires a fuse_proj matrix")
-    return np.concatenate([f, b], axis=1) @ fuse_proj.T
-
-
 # ---------------------------------------------------------------------------
 # quantize-dequantize
 
@@ -244,29 +192,27 @@ def fake_quantize(a: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the graph walker
 
-def tensor_table(weights: FembaWeights, cfg: ModelConfig) -> dict[str, tuple]:
+def tensor_table(weights: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str, tuple]:
     """Every tensor of the float model as ``name -> (weight, bias)``, under the
-    names of `quantizer.tensor_shapes` plus ``blocks.<i>.fuse_proj`` with
-    concat_project fusion. This is the one map from `FembaWeights` fields to
-    tensor names. A ``conv`` weight is the per-channel kernel, ``a_mat`` is
-    A = -exp(a_log), and ``bias`` is None where the model has none."""
+    names of `quantizer.tensor_shapes`. This is the one map from the
+    parameters of `param_shapes` to tensor names. A ``conv`` weight is the
+    per-channel kernel, ``a_mat`` is A = -exp(a_log), and ``bias`` is None
+    where the model has none."""
     w = weights
-    table = {"tokenizer": (w.tok_kernel.reshape(w.tok_kernel.shape[0], -1), w.tok_bias),
-             "pos": (w.pos_embed, None)}
+    tok = w["tokenizer.weight"]
+    table = {"tokenizer": (tok.reshape(tok.shape[0], -1), w["tokenizer.bias"]),
+             "pos": (w["pos_embed"], None)}
     for i in range(cfg.n_blocks):
-        blk = w.blocks[i]
-        for d, br in (("fwd", blk.fwd), ("bwd", blk.bwd)):
+        for d in ("fwd", "bwd"):
             p = f"blocks.{i}.{d}."
-            table.update({p + "in_proj": (br.in_proj, None),
-                          p + "conv": (br.conv_w, br.conv_b),
-                          p + "x_proj": (br.x_proj, None),
-                          p + "dt_proj": (br.dt_proj, br.dt_bias),
-                          p + "out_proj": (br.out_proj, None),
-                          p + "a_mat": (-np.exp(br.a_log), None),
-                          p + "d_skip": (br.d_skip, None)})
-        if cfg.fusion == "concat_project":
-            table[f"blocks.{i}.fuse_proj"] = (blk.fuse_proj, None)
-    table["head"] = (w.head_w, w.head_b)
+            table.update({p + "in_proj": (w[p + "in_proj"], None),
+                          p + "conv": (w[p + "conv_w"], w[p + "conv_b"]),
+                          p + "x_proj": (w[p + "x_proj"], None),
+                          p + "dt_proj": (w[p + "dt_proj"], w[p + "dt_bias"]),
+                          p + "out_proj": (w[p + "out_proj"], None),
+                          p + "a_mat": (-np.exp(w[p + "a_log"]), None),
+                          p + "d_skip": (w[p + "d_skip"], None)})
+    table["head"] = (w["head.weight"], w["head.bias"])
     return table
 
 
@@ -366,11 +312,12 @@ class Walk:
         return self.tap(out if d == "fwd" else out[::-1], p + "branch", of=p + "out_proj")
 
     def block(self, tokens: np.ndarray, i: int) -> np.ndarray:
-        """Bidirectional block ``i``: fused branches around a residual."""
+        """Bidirectional block ``i``: the two branches added (or averaged, with
+        mean fusion) around a residual."""
         f = self.branch(tokens, i, "fwd")
         b = self.branch(tokens, i, "bwd")
-        proj = self.table.get(f"blocks.{i}.fuse_proj", (None,))[0]
-        fused = self.tap(fuse_branches(f, b, self.cfg, proj), f"blocks.{i}.fused")
+        fused = f + b if self.cfg.fusion == "sum" else 0.5 * (f + b)
+        fused = self.tap(fused, f"blocks.{i}.fused")
         return self.tap(tokens + fused, f"blocks.{i}.out")
 
     def run(self, window: np.ndarray) -> np.ndarray:
@@ -384,7 +331,7 @@ class Walk:
         return logits
 
 
-def forward(window: np.ndarray, weights: FembaWeights, cfg: ModelConfig,
+def forward(window: np.ndarray, weights: dict[str, np.ndarray], cfg: ModelConfig,
             trace: dict | None = None) -> np.ndarray:
     """Window (n_channels, n_samples) -> class logits (n_classes,)."""
     return Walk(tensor_table(weights, cfg), cfg, trace=trace).run(window)

@@ -182,13 +182,14 @@ def tensor_shapes(cfg: fm.ModelConfig):
     yield "head", (cfg.n_classes, dm)
 
 
-def weight_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
+def weight_arrays(weights: dict[str, np.ndarray],
+                  cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
     """Every tensor of `tensor_shapes` as a float array of its dims."""
     table = fm.tensor_table(weights, cfg)
     return {name: table[name][0].reshape(shape) for name, shape in tensor_shapes(cfg)}
 
 
-def bias_arrays(weights: fm.FembaWeights, cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
+def bias_arrays(weights: dict[str, np.ndarray], cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
     """Float biases per weighted layer; layers without a trained bias get
     zeros so bias correction has a place to land."""
     table = fm.tensor_table(weights, cfg)
@@ -213,7 +214,7 @@ class QuantArtifacts:
         return self.act[tap]
 
 
-def calibrate(weights: fm.FembaWeights, cfg: fm.ModelConfig, windows,
+def calibrate(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, windows,
               clip_pct: float = DEFAULT_CLIP_PCT) -> dict[str, int]:
     """Float forward over the calibration windows, recording statistics at
     every quantization point, then power-of-two scale selection per tap."""
@@ -229,7 +230,7 @@ def calibrate(weights: fm.FembaWeights, cfg: fm.ModelConfig, windows,
     return {t: choose_pow2_scale(stats[t]) for t in taps}
 
 
-def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
+def quantize_model(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, mode: str,
                    calib_windows=None, clip_pct: float = DEFAULT_CLIP_PCT,
                    precision_overrides: dict[str, int] | None = None,
                    run_bias_correct: bool = False) -> QuantArtifacts:
@@ -255,13 +256,13 @@ def quantize_model(weights: fm.FembaWeights, cfg: fm.ModelConfig, mode: str,
 # ---------------------------------------------------------------------------
 # fake-quantized forward (float semantics)
 
-def fake_quant_forward(weights: fm.FembaWeights, cfg: fm.ModelConfig,
+def fake_quant_forward(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
                        art: QuantArtifacts, window: np.ndarray,
                        trace: dict | None = None) -> np.ndarray:
     """Float arithmetic with quantize->dequantize at every weight and
     activation point: the artifacts' dequantized weights and (correctable)
-    biases laid over the float tensor table, whose fusion projection stays
-    float. With mode fp32 this is the plain float forward."""
+    biases laid over the float tensor table. With mode fp32 this is the
+    plain float forward."""
     if art.mode == "fp32":
         return fm.forward(window, weights, cfg, trace=trace)
     table = fm.tensor_table(weights, cfg)
@@ -271,7 +272,7 @@ def fake_quant_forward(weights: fm.FembaWeights, cfg: fm.ModelConfig,
     return fm.Walk(table, cfg, exps, trace).run(window)
 
 
-def bias_correct(weights: fm.FembaWeights, cfg: fm.ModelConfig,
+def bias_correct(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
                  art: QuantArtifacts, windows) -> dict[str, np.ndarray]:
     """Per-output-channel bias correction (Nagel et al., arXiv:1906.04721).
 

@@ -33,6 +33,26 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+# entry edits that leave a checkpoint of the wrong dims or dtype
+_MISSHAPEN = {"narrowed": lambda a: (ct.DT_F32, a[:, :1]),
+              "row_dropped": lambda a: (ct.DT_F32, a[:-1]),
+              "i8": lambda a: (ct.DT_I8, np.clip(np.rint(64 * a), -127, 127).astype(np.int8))}
+
+
+def bad_checkpoint(checkpoint, out, entry, value):
+    """``checkpoint`` written to ``out`` with ``entry`` edited: its last
+    value set to the number ``value``, or the `_MISSHAPEN` edit so named."""
+    c = ct.Container.load(checkpoint)
+    a = c.array(entry).copy()
+    if isinstance(value, str):
+        dtype, a = _MISSHAPEN[value](a)
+    else:
+        dtype, a.reshape(-1)[-1] = ct.DT_F32, value
+    c.add(entry, dtype, a)
+    c.save(out)
+    return out
+
+
 class TestPreprocess:
     def test_recording_to_windows(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -126,6 +146,21 @@ class TestQuantize:
         assert run("quantize", tiny_checkpoint, out, "--mode", "fp32") == 0
         assert out.read_bytes() == Path(tiny_checkpoint).read_bytes()
 
+    @pytest.mark.parametrize("source", ["w8a8 image", "window archive", "narrowed a_log"])
+    def test_fp32_repack_of_no_checkpoint_exit_2(self, tmp_path, tiny_checkpoint,
+                                                 tiny_archive, source):
+        bad = tmp_path / "bad.fmbc"
+        if source == "w8a8 image":
+            assert run("quantize", tiny_checkpoint, bad, "--mode", "w8a8",
+                       "--calib", tiny_archive) == 0
+        elif source == "window archive":
+            bad = tiny_archive
+        else:
+            bad_checkpoint(tiny_checkpoint, bad, "blocks.0.bwd.a_log", "narrowed")
+        out = tmp_path / "repack.fmbc"
+        assert run("quantize", bad, out, "--mode", "fp32") == 2
+        assert not out.exists()
+
     def test_w8a8_and_w2a8_images(self, tmp_path, tiny_checkpoint, tiny_archive):
         out8 = tmp_path / "i8.fmbc"
         out2 = tmp_path / "i2.fmbc"
@@ -146,15 +181,15 @@ class TestQuantize:
 
     @pytest.mark.parametrize("entry,value", [("blocks.0.fwd.dt_bias", np.inf),
                                              ("head.bias", np.nan),
-                                             ("pos_embed", -np.inf)])
+                                             ("pos_embed", -np.inf),
+                                             ("blocks.0.bwd.a_log", "narrowed"),
+                                             ("blocks.0.fwd.in_proj", "row_dropped"),
+                                             ("head.weight", "i8")])
     def test_non_finite_checkpoint_exit_2(self, tmp_path, tiny_checkpoint, tiny_archive,
                                           entry, value):
-        c = ct.Container.load(tiny_checkpoint)
-        a = c.array(entry).copy()
-        a.reshape(-1)[-1] = value
-        c.add(entry, ct.DT_F32, a)
-        bad = tmp_path / "bad.fmbc"
-        c.save(bad)
+        """A checkpoint entry that is not finite, or not f32 of its dims, is
+        a format error for quantize and for fp32 infer alike."""
+        bad = bad_checkpoint(tiny_checkpoint, tmp_path / "bad.fmbc", entry, value)
         assert run("quantize", bad, tmp_path / "x.fmbc", "--mode", "w8a8",
                    "--calib", tiny_archive) == 2
         m = write_manifest(tmp_path, model=str(bad), mode="fp32", windows=tiny_archive,
@@ -352,7 +387,7 @@ class TestCorruptImage:
 
     @pytest.mark.parametrize("entry,index,value", [
         ("config", 11, 7),      # fusion index past the fusion modes
-        ("config", 11, 2),      # concat_project
+        ("config", 11, 2),      # the first fusion index past the modes
         ("config", 12, 9),      # mode index past the modes
         ("config", 12, 4),      # fakequant, no longer an image mode
         ("config", 12, -1),

@@ -495,13 +495,9 @@ class TestEngineForward:
 
     def test_zero_window_zero_bias_zero_logits(self, tiny_cfg, tiny_windows):
         w = fm.init_weights(tiny_cfg, seed=40)
-        w.tok_bias[:] = 0
-        w.pos_embed[:] = 0
-        w.head_b[:] = 0
-        for blk in w.blocks:
-            for br in (blk.fwd, blk.bwd):
-                br.conv_b[:] = 0
-                br.dt_bias[:] = 0
+        for name, a in w.items():
+            if name == "pos_embed" or name.endswith((".bias", ".conv_b", ".dt_bias")):
+                a[:] = 0
         art = qz.quantize_model(w, tiny_cfg, "w8a8", tiny_windows)
         img = im.load_image(im.build_image(tiny_cfg, art))
         li, lf, _ = eng.engine_forward(img, np.zeros((tiny_cfg.n_channels,
@@ -601,9 +597,9 @@ class TestEngineForward:
         # a model whose hidden state stays inside Q15, like the full-shape
         # fan-in-scaled network (the tiny random init runs hotter per channel)
         w = fm.init_weights(tiny_cfg, seed=11)
-        for blk in w.blocks:
-            for br in (blk.fwd, blk.bwd):
-                br.x_proj = br.x_proj * 0.5
+        for name in w:
+            if name.endswith(".x_proj"):
+                w[name] = w[name] * 0.5
         calib = make_windows(tiny_cfg, 6, seed=3)
         art = qz.quantize_model(w, tiny_cfg, "w8a8", calib)
         img = im.load_image(im.build_image(tiny_cfg, art))
@@ -623,9 +619,9 @@ class TestEngineForward:
         catches exponent mis-wiring that engine-vs-reference comparison
         cannot (both consume the same folded image)."""
         w = fm.init_weights(tiny_cfg, seed=11)
-        for blk in w.blocks:
-            for br in (blk.fwd, blk.bwd):
-                br.x_proj = br.x_proj * 0.5
+        for name in w:
+            if name.endswith(".x_proj"):
+                w[name] = w[name] * 0.5
         calib = make_windows(tiny_cfg, 6, seed=14)
         art = qz.quantize_model(w, tiny_cfg, "w8a8", calib)
         img = im.load_image(im.build_image(tiny_cfg, art))

@@ -195,7 +195,7 @@ _CONFIG_INDEX = {name: i for i, name in enumerate(im._CONFIG_DIMS + ("fusion", "
 @pytest.mark.parametrize("field,value,error", [
     ("fusion", 7, ct.FormatError),
     ("fusion", -1, ct.FormatError),
-    ("fusion", 2, eng.EngineConfigError),       # concat_project
+    ("fusion", 2, ct.FormatError),              # the first index past the fusion modes
     ("mode", 9, ct.FormatError),
     ("mode", -1, ct.FormatError),
     ("mode", 0, eng.EngineConfigError),         # fp32
@@ -401,3 +401,23 @@ def test_float_view_is_each_tensor_dequantized(cfg, mode):
             continue
         bound = 2.0 ** -n_in * (0.5 * qt.scales + np.abs(t.bias) * half_step)
         assert np.all(np.abs(b - art.biases[name]) <= bound * slack), name
+
+
+@pytest.mark.parametrize("cfg", [TINY, dataclasses.replace(TINY_GROUPED, fusion="mean")])
+def test_checkpoint_holds_param_shapes_in_order(tmp_path, cfg):
+    """A float checkpoint stores each parameter of `model.param_shapes`
+    under its own name, in that order and of its dims, and loads back to
+    the same dict rounded to float32."""
+    w = fm.init_weights(cfg, seed=4)
+    shapes = list(fm.param_shapes(cfg))
+    assert [(name, a.shape) for name, a in w.items()] == shapes
+    path = tmp_path / "ckpt.fmbc"
+    im.save_checkpoint(w, cfg, path)
+    c = ct.Container.load(path)
+    assert [(name, e.dims) for name, e in c.entries.items()][2:] == shapes
+    got, got_cfg = im.load_checkpoint(path)
+    f32 = {k: float(np.float32(getattr(cfg, k))) for k in ("dt_min", "dt_max")}
+    assert got_cfg == dataclasses.replace(cfg, **f32) and list(got) == list(w)
+    for name, a in got.items():
+        assert a.dtype == np.float64
+        np.testing.assert_array_equal(a, w[name].astype(np.float32))

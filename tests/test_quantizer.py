@@ -197,7 +197,7 @@ class TestFakeQuantForward:
         # the quantization noise, then demand high argmax agreement
         cfg = tiny_cfg
         w = fm.init_weights(cfg, seed=23)
-        w.head_w = 4.0 * w.head_w
+        w["head.weight"] = 4.0 * w["head.weight"]
         calib = make_windows(cfg, 8, seed=31)
         art = qz.quantize_model(w, cfg, "w8a8", calib)
         agree = 0
