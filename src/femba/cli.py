@@ -5,7 +5,8 @@ Subcommands: preprocess (recording -> window archive), quantize (checkpoint
 (streaming cycle simulation), losses (objective evaluation on tensor files).
 
 Exit codes: 0 success, 2 input format error, 3 configuration/shape error,
-4 planning error. FEMBA_THREADS overrides the worker count.
+4 planning error. FEMBA_THREADS sets the number of threads over the windows
+of fp32 and fakequant inference (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ INFER_MODES = (*qz.MODES, "fakequant")
 
 class CliConfigError(ValueError):
     pass
+
+
+def worker_count() -> int:
+    """FEMBA_THREADS, else the CPU count: the threads over the windows of the
+    float inference paths."""
+    env = os.environ.get("FEMBA_THREADS")
+    if env:
+        return max(1, int(env))
+    return os.cpu_count() or 1
 
 
 def save_windows(path, windows: list[np.ndarray]):
@@ -153,12 +163,12 @@ def cmd_infer(args) -> int:
         if model_mode != "fp32":
             raise CliConfigError(f"mode {mode!r} needs a float checkpoint, got {model_mode!r}")
         weights, cfg = im.load_checkpoint(manifest["model"])
-        with ThreadPoolExecutor(max_workers=eng.worker_count()) as pool:
+        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             logits = list(pool.map(lambda w: fm.forward(w, weights, cfg), windows))
         out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
     elif mode == "fakequant":
         img = im.load_image(model_c)
-        with ThreadPoolExecutor(max_workers=eng.worker_count()) as pool:
+        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             logits = list(pool.map(lambda w: ref.fakequant_float_from_image(img, w), windows))
         out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
     else:

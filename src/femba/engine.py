@@ -54,32 +54,20 @@ Exact arithmetic on fast kernels
                 int32 while that sum stays below 2^31 (d_state < 516).
 
 Parallelism
-  A forward runs in the calling thread unless it is given two or more
-  `workers` (or FEMBA_THREADS asks for them). A block's two scan directions
-  are independent until fusion, so with two or more workers the backward
-  scan runs on a second thread while the forward one runs in the calling
-  thread (numpy releases the interpreter lock inside the array work).
-  Everything else runs in the calling thread. One thread is the default:
-  on a 2-core host the second saves nothing (a full-shape w8a8 or w2a8
-  window took 1-5 % longer at the median on two threads than on one, in
-  sets of 12 alternated rounds), and the per-step calls of q15_scan_core
-  are too short to share the interpreter lock well (both directions' step
-  loops took 31 ms on two threads, 22 ms on one).
-  Each scan runs sequentially over time; the saturating Q15 update is not
-  associative, so time is never split across threads. A direction builds,
-  scans and reads out c . h a chunk of time rows (SCAN_CHUNK values) at a
-  time, carrying the state from chunk to chunk, so no (T, d_inner, d_state)
-  buffer exists and a chunk's operands stay in cache. The result does not
-  depend on the thread count, nor on the BLAS library's, which the engine
-  leaves to the process: with two scan threads, OPENBLAS_NUM_THREADS=1
-  keeps the matmuls from taking the cores the scans run on.
+  A forward runs in the calling thread, a block's forward scan direction
+  and then its backward one; callers may run forwards on one image in
+  threads of their own. Each scan runs sequentially over time: the
+  saturating Q15 update is not associative, so time is never split. A
+  direction builds, scans and reads out c . h a chunk of time rows
+  (SCAN_CHUNK values) at a time, carrying the state from chunk to chunk, so
+  no (T, d_inner, d_state) buffer exists and a chunk's operands stay in
+  cache. The result does not depend on the BLAS library's thread count,
+  which the engine leaves to the process.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +95,6 @@ LUT_MAX_STEP_SHIFT = 10
 
 class EngineConfigError(ValueError):
     """Deployment image inconsistent with the engine's integer contracts."""
-
-
-def worker_count(explicit: int | None = None, default: int | None = None) -> int:
-    """explicit, else FEMBA_THREADS, else default, else the CPU count."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("FEMBA_THREADS")
-    if env:
-        return max(1, int(env))
-    return default or os.cpu_count() or 1
 
 
 def _rhu_inplace(v: np.ndarray, k: int):
@@ -522,22 +500,20 @@ DIRECTIONS = ("fwd", "bwd")
 
 def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
-    """Full integer pipeline on one window.
+    """Full integer pipeline on one window, in the calling thread.
 
-    workers is the number of threads (default: FEMBA_THREADS, else one);
-    from two up, a block's two scan directions run at once, and one runs
-    everything in the calling thread. Returns (logits_i32,
-    logits_float, stats). With trace, every INT8 activation tensor is
-    recorded as int8 under its quantization-point name, plus 'logits_i32'.
+    Returns (logits_i32, logits_float, stats). With trace, every INT8
+    activation tensor is recorded as int8 under its quantization-point name,
+    plus 'logits_i32'. workers is unused; it stays only for callers that
+    pass trace positionally.
     """
     cfg = image.cfg
-    threaded = worker_count(workers, default=1) > 1
     stats = EngineStats()
     exp_n = image.act_exp
 
-    def rec(tap, q, taps=trace):
-        if taps is not None:
-            taps[tap] = np.asarray(q, dtype=np.int8 if q.dtype != np.int32 else np.int32)
+    def rec(tap, q):
+        if trace is not None:
+            trace[tap] = np.asarray(q, dtype=np.int8 if q.dtype != np.int32 else np.int32)
         return q
 
     q_in = rec("input", _quantize_input(window, exp_n["input"]))
@@ -553,41 +529,25 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     tokens = rec("tokens", _rhu_clip(tok_conv + pos_fixed, exp_n["tok_conv"] - exp_n["tokens"]))
 
     block_in_exp = exp_n["tokens"]
-    with ThreadPoolExecutor(max_workers=1) as pool:  # its thread starts at the first submit
-        for i in range(cfg.n_blocks):
-            prefix = {d: f"blocks.{i}.{d}." for d in DIRECTIONS}
-            # one tap dict per direction keeps every fwd tap before the bwd ones
-            taps = {d: None if trace is None else {} for d in DIRECTIONS}
-            recs = {d: functools.partial(rec, taps=taps[d]) for d in DIRECTIONS}
-            gates, scan_in = {}, {}
-            for d, seq in zip(DIRECTIONS, (tokens, tokens[::-1])):
-                gates[d], scan_in[d] = _branch_in(image, prefix[d], seq, recs[d])
+    for i in range(cfg.n_blocks):
+        branches = {}
+        for d, seq in zip(DIRECTIONS, (tokens, tokens[::-1])):
+            p = f"blocks.{i}.{d}."
+            gate_q, scan_in = _branch_in(image, p, seq, rec)
+            y_q, scan_stats = _scan_direction(image, p, *scan_in)
+            stats += scan_stats
+            out = _branch_out(image, p, rec(p + "y", y_q), gate_q, rec)
+            branches[d] = rec(p + "branch", out if d == "fwd" else out[::-1])
 
-            def scan(d):
-                return _scan_direction(image, prefix[d], *scan_in[d])
-
-            bwd = pool.submit(scan, "bwd") if threaded else None
-            scanned = {"fwd": scan("fwd"), "bwd": bwd.result() if bwd else scan("bwd")}
-
-            branches = {}
-            for d in DIRECTIONS:
-                y_q, scan_stats = scanned[d]
-                stats += scan_stats
-                y_q = recs[d](prefix[d] + "y", y_q)
-                out = _branch_out(image, prefix[d], y_q, gates[d], recs[d])
-                branches[d] = recs[d](prefix[d] + "branch", out if d == "fwd" else out[::-1])
-                if trace is not None:
-                    trace.update(taps[d])
-
-            nf = exp_n[f"blocks.{i}.fwd.branch"]
-            nb = exp_n[f"blocks.{i}.bwd.branch"]
-            n_fused = exp_n[f"blocks.{i}.fused"]
-            # the mean halves the sum: one more bit of shift
-            fused = rec(f"blocks.{i}.fused", _align_add(
-                branches["fwd"], nf, branches["bwd"], nb, n_fused - (cfg.fusion == "mean")))
-            tokens = rec(f"blocks.{i}.out", _align_add(
-                tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
-            block_in_exp = exp_n[f"blocks.{i}.out"]
+        nf = exp_n[f"blocks.{i}.fwd.branch"]
+        nb = exp_n[f"blocks.{i}.bwd.branch"]
+        n_fused = exp_n[f"blocks.{i}.fused"]
+        # the mean halves the sum: one more bit of shift
+        fused = rec(f"blocks.{i}.fused", _align_add(
+            branches["fwd"], nf, branches["bwd"], nb, n_fused - (cfg.fusion == "mean")))
+        tokens = rec(f"blocks.{i}.out", _align_add(
+            tokens, block_in_exp, fused, n_fused, exp_n[f"blocks.{i}.out"]))
+        block_in_exp = exp_n[f"blocks.{i}.out"]
 
     pooled = rec("pooled", requantize(tokens.sum(axis=0), image.pool_m, image.pool_k))
 

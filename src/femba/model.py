@@ -42,6 +42,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.dt_rank == 0:
             object.__setattr__(self, "dt_rank", -(-self.d_model // 16))
+        # float32, as a checkpoint or image stores them (config_f), so a
+        # config loads back equal to the one saved
+        for name in ("dt_min", "dt_max"):
+            object.__setattr__(self, name, float(np.float32(getattr(self, name))))
         if self.n_samples % self.patch_size != 0:
             raise ValueError("n_samples must be a multiple of patch_size")
         if self.n_tokens % self.n_patches != 0:
@@ -153,12 +157,11 @@ def selective_scan(u, delta, a, b, c, d=None):
     if np.any(delta <= 0):
         raise ValueError("delta must be positive")
     t_len, n_ch = u.shape
-    abar = np.exp(delta[:, :, None] * a[None, :, :])          # (T, C, S)
-    bx = delta[:, :, None] * b[:, None, :] * u[:, :, None]    # (T, C, S)
     h = np.zeros((n_ch, a.shape[1]))
     y = np.empty((t_len, n_ch))
     for t in range(t_len):
-        h = abar[t] * h + bx[t]
+        dt = delta[t, :, None]
+        h = np.exp(dt * a) * h + dt * b[t] * u[t, :, None]
         y[t] = h @ c[t]
     if d is not None:
         y = y + np.asarray(d, dtype=np.float64) * u

@@ -3,7 +3,9 @@
 A plain, unblocked implementation of the quantized network over a deployment
 image: the fake-quantized graph evaluated with exact integer arithmetic
 (integers carried in int64 arrays). This is the oracle the optimized engine
-must match bit for bit; it deliberately shares no kernel code with it.
+must match bit for bit; it deliberately shares no kernel code with it. The
+scan steps one time row at a time and holds one (d_inner, d_state) state, so
+no array spans time and state at once.
 """
 
 from __future__ import annotations
@@ -104,18 +106,16 @@ def reference_int_forward(image: im.EngineImage, window: np.ndarray,
 
             a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
             dt_fix = _interp(image.luts["softplus"], _to_frac(dtp, n[p + "dt_pre"], 15))
-            la = _round_shift(dt_fix[:, :, None] * a_mat.dense()[None]
-                              * a_mat.m[None, :, None], a_mat.k)
-            abar = _interp(image.luts["exp"], la)
-            bx = np.clip(_round_shift((dt_fix * uq)[:, :, None] * bq[:, None, :],
-                                      11 + n[p + "u"] + n[p + "b"] - 15),
-                         _Q15_LO, _Q15_HI)
+            a_fx = a_mat.dense() * a_mat.m[:, None]
+            bx_shift = 11 + n[p + "u"] + n[p + "b"] - 15
             h = np.zeros((cfg.d_inner, cfg.d_state), dtype=np.int64)
-            hs = np.empty((t_len, cfg.d_inner, cfg.d_state), dtype=np.int64)
+            y_acc = np.empty((t_len, cfg.d_inner), dtype=np.int64)
             for t in range(t_len):
-                h = np.clip(_round_shift(abar[t] * h, 15) + bx[t], _Q15_LO, _Q15_HI)
-                hs[t] = h
-            y_acc = (cq2[:, None, :] * hs).sum(axis=2)
+                abar = _interp(image.luts["exp"], _round_shift(dt_fix[t, :, None] * a_fx, a_mat.k))
+                bx = np.clip(_round_shift((dt_fix[t] * uq[t])[:, None] * bq[t], bx_shift),
+                             _Q15_LO, _Q15_HI)
+                h = np.clip(_round_shift(abar * h, 15) + bx, _Q15_LO, _Q15_HI)
+                y_acc[t] = h @ cq2[t]
             du = _round_shift(d_skip.dense() * uq * d_skip.m[0], d_skip.k)
             yq = rec(p + "y", _clip8(_round_shift(y_acc + du,
                                                   n[p + "c"] + 15 - n[p + "y"])))

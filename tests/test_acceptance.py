@@ -93,7 +93,7 @@ def test_criterion_4_bit_exactness(full_images):
         for i in range(100):
             win = make_windows(TINY, 1, seed=20_000 + i)[0]
             tr_e, tr_r = {}, {}
-            eng.engine_forward(img, win, workers=4, trace=tr_e)
+            eng.engine_forward(img, win, trace=tr_e)
             ref.reference_int_forward(img, win, trace=tr_r)
             assert tr_e.keys() == tr_r.keys()
             for tap in tr_r:

@@ -465,7 +465,7 @@ class TestEngineForward:
             for i in range(10):
                 win = make_windows(tiny_cfg, 1, seed=500 + i)[0]
                 tr_e, tr_r = {}, {}
-                li_e, lf_e, _ = eng.engine_forward(img, win, workers=4, trace=tr_e)
+                li_e, lf_e, _ = eng.engine_forward(img, win, trace=tr_e)
                 li_r, lf_r = ref.reference_int_forward(img, win, trace=tr_r)
                 np.testing.assert_array_equal(li_e, li_r)
                 np.testing.assert_array_equal(lf_e, lf_r)
@@ -487,7 +487,7 @@ class TestEngineForward:
             for i in range(8):
                 win = make_windows(cfg, 1, seed=5500 + i)[0]
                 tr_e, tr_r = {}, {}
-                li_e, _, _ = eng.engine_forward(img, win, workers=5, trace=tr_e)
+                li_e, _, _ = eng.engine_forward(img, win, trace=tr_e)
                 li_r, _ = ref.reference_int_forward(img, win, trace=tr_r)
                 np.testing.assert_array_equal(li_e, li_r)
                 for tap in tr_r:
@@ -536,45 +536,52 @@ class TestEngineForward:
         img = im.load_image(im.build_image(tiny_cfg, art))
         for i in range(5):
             win = make_windows(tiny_cfg, 1, seed=600 + i)[0]
-            li_e, _, _ = eng.engine_forward(img, win, workers=3)
+            li_e, _, _ = eng.engine_forward(img, win)
             li_r, _ = ref.reference_int_forward(img, win)
             np.testing.assert_array_equal(li_e, li_r)
 
-    def test_worker_and_rerun_determinism(self, tiny_cfg, tiny_images):
+    def test_worker_and_rerun_determinism(self, tiny_cfg, tiny_images, monkeypatch):
+        """Repeated calls give the same logits, whatever FEMBA_THREADS says."""
         img = tiny_images["w8a8"]
         win = make_windows(tiny_cfg, 1, seed=777)[0]
-        runs = [eng.engine_forward(img, win, workers=n)[0] for n in (1, 2, 8, 16)]
-        runs.append(eng.engine_forward(img, win, workers=1)[0])
+        monkeypatch.delenv("FEMBA_THREADS", raising=False)
+        runs = [eng.engine_forward(img, win)[0]]
+        for threads in ("1", "2", "8", "16"):
+            monkeypatch.setenv("FEMBA_THREADS", threads)
+            runs.append(eng.engine_forward(img, win)[0])
         for r in runs[1:]:
             np.testing.assert_array_equal(r, runs[0])
 
-    def test_scans_run_in_the_calling_thread_unless_asked(self, tiny_cfg, tiny_images,
-                                                          monkeypatch):
-        """Without workers and FEMBA_THREADS every scan runs in the caller's
-        thread; workers=2 or FEMBA_THREADS=2 moves each block's backward scan
-        to a second thread."""
+    def test_scans_run_in_the_calling_thread(self, tiny_cfg, tiny_images, monkeypatch):
+        """Every block's forward and backward scan runs in the thread that
+        called engine_forward, also with FEMBA_THREADS=2 and from a thread
+        other than the main one."""
         real, seen = eng._scan_direction, []
 
         def spy(image, p, *args):
-            seen.append((p.split(".")[2], threading.get_ident()))
+            seen.append((p, threading.get_ident()))
             return real(image, p, *args)
 
         monkeypatch.setattr(eng, "_scan_direction", spy)
-        monkeypatch.delenv("FEMBA_THREADS", raising=False)
         img, win = tiny_images["w8a8"], make_windows(tiny_cfg, 1, seed=779)[0]
+        scans = [f"blocks.{i}.{d}." for i in range(tiny_cfg.n_blocks) for d in eng.DIRECTIONS]
 
-        def threads(**kw):
+        def threads():
             seen.clear()
-            eng.engine_forward(img, win, **kw)
-            return {d: {ident for dd, ident in seen if dd == d} for d in eng.DIRECTIONS}
+            eng.engine_forward(img, win)
+            assert [p for p, _ in seen] == scans
+            return {ident for _, ident in seen}
 
-        me = {threading.get_ident()}
-        assert threads() == threads(workers=1) == {"fwd": me, "bwd": me}
-        by_arg = threads(workers=2)
+        def check():
+            assert threads() == {threading.get_ident()}
+            with ThreadPoolExecutor(1) as pool:
+                caller = pool.submit(threading.get_ident).result()
+                assert pool.submit(threads).result() == {caller}
+
+        monkeypatch.delenv("FEMBA_THREADS", raising=False)
+        check()
         monkeypatch.setenv("FEMBA_THREADS", "2")
-        by_env = threads()
-        for split in (by_arg, by_env):
-            assert split["fwd"] == me and split["bwd"] and not split["bwd"] & me
+        check()
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_scan_chunks_of_rows_bit_exact(self, tiny_cfg, tiny_images, monkeypatch, rows):
@@ -663,7 +670,7 @@ class TestEngineForward:
         img = im.load_image(im.build_image(cfg, art))
         win = make_windows(cfg, 1, seed=seed + 2)[0]
         tr_e, tr_r = {}, {}
-        li_e, lf_e, _ = eng.engine_forward(img, win, workers=3, trace=tr_e)
+        li_e, lf_e, _ = eng.engine_forward(img, win, trace=tr_e)
         li_r, lf_r = ref.reference_int_forward(img, win, trace=tr_r)
         np.testing.assert_array_equal(li_e, li_r)
         np.testing.assert_array_equal(lf_e, lf_r)
@@ -700,25 +707,28 @@ class TestOverlappingForwards:
                 {name for name, t in img.tensors.items() if "f32" in t.__dict__})
 
     @staticmethod
-    def forward(img, win, workers):
+    def forward(img, win):
         trace = {}
-        li, lf, stats = eng.engine_forward(img, win, workers=workers, trace=trace)
+        li, lf, stats = eng.engine_forward(img, win, trace=trace)
         return li, lf, trace, stats
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("femba_threads", ["1", "2"])
     @pytest.mark.parametrize("callers", [2, 8])
-    def test_equal_to_serial_calls(self, tiny_cfg, tiny_containers, callers, workers):
+    def test_equal_to_serial_calls(self, tiny_cfg, tiny_containers, monkeypatch, callers,
+                                   femba_threads):
+        """Whatever FEMBA_THREADS says: the engine has no threads of its own."""
+        monkeypatch.setenv("FEMBA_THREADS", femba_threads)
         wins = make_windows(tiny_cfg, callers, seed=880)
         for mode, c in tiny_containers.items():
             serial = im.load_image(c)
-            want = [self.forward(serial, w, workers) for w in wins]
+            want = [self.forward(serial, w) for w in wins]
             img = im.load_image(c)
             assert self.cached(img) == (False, set())
             start = threading.Barrier(callers, timeout=30)
 
             def call(j):
                 start.wait()
-                return [self.forward(img, wins[(j + r) % callers], workers) for r in range(3)]
+                return [self.forward(img, wins[(j + r) % callers]) for r in range(3)]
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # switch threads often inside the forwards
