@@ -10,9 +10,8 @@ from femba import streamsim as ss
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--config", help="key = value config file")
-    ap.add_argument("--analytic-scan", action="store_true",
-                    help="count scan MACs analytically instead of the device convention")
+    ap.add_argument("--config", help="key = value config file "
+                    "(scan_mac_mode = analytic counts scan MACs analytically)")
     args = ap.parse_args()
 
     if args.config:
@@ -20,9 +19,6 @@ def main():
             hier, cm, _ = ss.config_from_mapping(ss.parse_config_text(f.read()))
     else:
         hier, cm = ss.MemHierarchy(), ss.CostModel()
-    if args.analytic_scan:
-        import dataclasses
-        cm = dataclasses.replace(cm, scan_mac_mode="analytic")
 
     for mode in ("w8a8", "w2a8"):
         cr = ss.run_default(fm.ModelConfig(), cm, hier, mode)

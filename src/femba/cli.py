@@ -105,13 +105,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    weights, cfg = im.load_checkpoint(args.checkpoint)
     if args.mode == "fp32":
-        # byte-preserving repack of the float checkpoint just checked
+        # byte-preserving repack of the float checkpoint, once checked
         c = ct.Container.load(args.checkpoint)
+        im.load_checkpoint(c)
         c.save(args.output)
         print(im.image_summary(c))
         return EXIT_OK
+    # from the path, so the float container is freed before calibration
+    weights, cfg = im.load_checkpoint(args.checkpoint)
     if args.calib is None:
         raise CliConfigError(f"mode {args.mode!r} requires --calib windows")
     calib = list(load_windows(args.calib))
@@ -162,7 +164,7 @@ def cmd_infer(args) -> int:
     if mode == "fp32" or (mode == "fakequant" and model_mode == "fp32"):
         if model_mode != "fp32":
             raise CliConfigError(f"mode {mode!r} needs a float checkpoint, got {model_mode!r}")
-        weights, cfg = im.load_checkpoint(manifest["model"])
+        weights, cfg = im.load_checkpoint(model_c)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             logits = list(pool.map(lambda w: fm.forward(w, weights, cfg), windows))
         out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
@@ -204,8 +206,8 @@ def cmd_bench(args) -> int:
         with open(args.config) as f:
             hier, cm, mode = ss.config_from_mapping(ss.parse_config_text(f.read()))
     else:
-        hier, cm, mode = ss.MemHierarchy(), ss.CostModel(), args.mode
-    cr = ss.run_default(fm.ModelConfig(), cm, hier, mode)
+        hier, cm, mode = ss.MemHierarchy(), ss.CostModel(), "w8a8"
+    cr = ss.run_default(fm.ModelConfig(), cm, hier, args.mode or mode)
     if args.format == "json":
         text = json.dumps({"cycles": cr.total_cycles,
                            "seconds": cr.latency_s,
@@ -289,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="memory-streaming cycle simulation")
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--mode", choices=qz.MODES, default="w8a8")
+    sp.add_argument("--mode", choices=qz.MODES, default=None,
+                    help="weight mode (default: the config's mode, else w8a8)")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bench)

@@ -54,15 +54,15 @@ Exact arithmetic on fast kernels
                 int32 while that sum stays below 2^31 (d_state < 516).
 
 Parallelism
-  A forward runs in the calling thread, a block's forward scan direction
-  and then its backward one; callers may run forwards on one image in
-  threads of their own. Each scan runs sequentially over time: the
-  saturating Q15 update is not associative, so time is never split. A
-  direction builds, scans and reads out c . h a chunk of time rows
-  (SCAN_CHUNK values) at a time, carrying the state from chunk to chunk, so
-  no (T, d_inner, d_state) buffer exists and a chunk's operands stay in
-  cache. The result does not depend on the BLAS library's thread count,
-  which the engine leaves to the process.
+  A forward runs in the calling thread and walks each block's forward
+  branch, then its backward one, straight through, as the reference does;
+  callers may run forwards on one image in threads of their own. Each scan
+  runs sequentially over time: the saturating Q15 update is not
+  associative, so time is never split. A direction builds, scans and reads
+  out c . h a chunk of time rows (SCAN_CHUNK values) at a time, carrying
+  the state from chunk to chunk, so no (T, d_inner, d_state) buffer exists
+  and a chunk's operands stay in cache. The result does not depend on the
+  BLAS library's thread count, which the engine leaves to the process.
 """
 
 from __future__ import annotations
@@ -116,13 +116,6 @@ def rhu_shift(v, k: int):
     out = v + (np.int64(1) << np.int64(k - 1))
     out >>= np.int64(k)
     return out
-
-
-def widen(q, from_frac: int, to_frac: int):
-    """Move int values between fixed-point grids; widening is exact."""
-    if to_frac >= from_frac:
-        return np.asarray(q, dtype=np.int64) << np.int64(to_frac - from_frac)
-    return rhu_shift(q, from_frac - to_frac)
 
 
 def q15_mul(a, b):
@@ -409,25 +402,22 @@ def _exp_index(la: np.ndarray, k: int, lo: int, top: int):
         la -= lo
 
 
-def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q) -> tuple[np.ndarray, EngineStats]:
+def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q, stats: EngineStats) -> np.ndarray:
     """LUT-driven selective scan of the branch with tap prefix p; returns y
-    as INT8 and the branch's EngineStats. Builds, scans and reads out a
-    chunk of time rows at a time."""
+    as INT8 and adds the scan's saturations and steps to stats. Builds, scans
+    and reads out a chunk of time rows at a time."""
     exp_n = image.act_exp
     a_mat, d_skip = image.tensors[p + "a_mat"], image.tensors[p + "d_skip"]
     n_u, n_b, n_c = exp_n[p + "u"], exp_n[p + "b"], exp_n[p + "c"]
-    stats = EngineStats()
 
     dt_fix = lut_eval(image.luts["softplus"],
-                      widen(dtpre_q, exp_n[p + "dt_pre"], ACT_FRAC))  # (T, C), DT_FRAC
+                      rhu_shift(dtpre_q, exp_n[p + "dt_pre"] - ACT_FRAC))  # (T, C), DT_FRAC
     # (S, C): every chunk array is laid out (rows, S, C), so its element-wise
     # work runs along the d_inner axis instead of in runs of d_state
     a_coef = (_values(a_mat) * a_mat.m[:, None]).T.copy()  # int64
     dt_u = dt_fix * u_q.astype(np.int32)
     b32 = b_q.astype(np.int32)
-    # every shift >= 31 gives 0; a Python int, as a numpy int64 (act_exp's
-    # values) would run the in-place int32 shift through an int64 loop
-    bx_shift = int(min(DT_FRAC + n_u + n_b - 15, 31))
+    bx_shift = min(DT_FRAC + n_u + n_b - 15, 31)  # every shift >= 31 gives 0
     exp = image.luts["exp"]
     c_dtype = np.int32 if c_q.shape[1] * INT8_MAX * Q15_ONE < 2**31 else np.int64
     c_w = c_q.astype(c_dtype)
@@ -458,41 +448,7 @@ def _scan_direction(image, p: str, u_q, b_q, c_q, dtpre_q) -> tuple[np.ndarray, 
         np.einsum("ts,tsc->tc", c_w[t], hs, out=y_acc[t])
 
     du = rhu_shift(_values(d_skip) * u_q * d_skip.m[0], d_skip.k)
-    y_q = _rhu_clip(y_acc + du, (n_c + 15) - exp_n[p + "y"])
-    return y_q, stats
-
-
-def _branch_in(image, p: str, seq, rec):
-    """in_proj, conv, SiLU, x_proj and dt_proj of the branch with tap prefix
-    p; returns its gate and its scan inputs (u, b, c, dt_pre)."""
-    cfg, exp_n = image.cfg, image.act_exp
-    xz = _matmul_layer(image, p + "in_proj", seq)
-    x_q = rec(p + "x", xz[:, :cfg.d_inner])
-    gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
-
-    conv = image.tensors[p + "conv"]
-    conv_q = rec(p + "conv", depthwise_conv_int8(
-        x_q, _values(conv), conv.bias, conv.m, conv.k))
-
-    su = lut_eval(image.luts["silu"], widen(conv_q, exp_n[p + "conv"], ACT_FRAC))
-    u_q = rec(p + "u", _rhu_clip(su.astype(np.int64), SILU_OUT_FRAC - exp_n[p + "u"]))
-
-    dbl = _matmul_layer(image, p + "x_proj", u_q)
-    dr, ds = cfg.dt_rank, cfg.d_state
-    dtr_q = rec(p + "dt_raw", dbl[:, :dr])
-    b_q = rec(p + "b", dbl[:, dr:dr + ds])
-    c_q = rec(p + "c", dbl[:, dr + ds:])
-    dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q))
-    return gate_q, (u_q, b_q, c_q, dtp_q)
-
-
-def _branch_out(image, p: str, y_q, gate_q, rec) -> np.ndarray:
-    """The scan output y gated by SiLU(gate) and projected by out_proj."""
-    exp_n = image.act_exp
-    sg = lut_eval(image.luts["silu"], widen(gate_q, exp_n[p + "gate"], ACT_FRAC))
-    gated = rec(p + "gated", _rhu_clip(
-        y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]))
-    return _matmul_layer(image, p + "out_proj", gated)
+    return _rhu_clip(y_acc + du, (n_c + 15) - exp_n[p + "y"])
 
 
 DIRECTIONS = ("fwd", "bwd")
@@ -502,10 +458,14 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
                    trace: dict | None = None):
     """Full integer pipeline on one window, in the calling thread.
 
-    Returns (logits_i32, logits_float, stats). With trace, every INT8
-    activation tensor is recorded as int8 under its quantization-point name,
-    plus 'logits_i32'. workers is unused; it stays only for callers that
-    pass trace positionally.
+    Walks the graph in reference_int_forward's order: the tokenizer, then
+    each block's forward and backward branch straight through (in_proj,
+    conv, SiLU, x_proj and dt_proj, scan, gate, out_proj), their fusion and
+    residual add, the pool and the head. Returns (logits_i32, logits_float,
+    stats), stats summing every scan's saturations and steps. With trace,
+    every INT8 activation tensor is recorded as int8 under its
+    quantization-point name, plus 'logits_i32' as int32. workers is unused;
+    it stays only for callers that pass trace positionally.
     """
     cfg = image.cfg
     stats = EngineStats()
@@ -513,7 +473,7 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
 
     def rec(tap, q):
         if trace is not None:
-            trace[tap] = np.asarray(q, dtype=np.int8 if q.dtype != np.int32 else np.int32)
+            trace[tap] = q.astype(np.int8)
         return q
 
     q_in = rec("input", _quantize_input(window, exp_n["input"]))
@@ -533,10 +493,30 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
         branches = {}
         for d, seq in zip(DIRECTIONS, (tokens, tokens[::-1])):
             p = f"blocks.{i}.{d}."
-            gate_q, scan_in = _branch_in(image, p, seq, rec)
-            y_q, scan_stats = _scan_direction(image, p, *scan_in)
-            stats += scan_stats
-            out = _branch_out(image, p, rec(p + "y", y_q), gate_q, rec)
+            xz = _matmul_layer(image, p + "in_proj", seq)
+            x_q = rec(p + "x", xz[:, :cfg.d_inner])
+            gate_q = rec(p + "gate", xz[:, cfg.d_inner:])
+
+            conv = image.tensors[p + "conv"]
+            conv_q = rec(p + "conv", depthwise_conv_int8(
+                x_q, _values(conv), conv.bias, conv.m, conv.k))
+
+            su = lut_eval(image.luts["silu"], rhu_shift(conv_q, exp_n[p + "conv"] - ACT_FRAC))
+            u_q = rec(p + "u", _rhu_clip(su.astype(np.int64), SILU_OUT_FRAC - exp_n[p + "u"]))
+
+            dbl = _matmul_layer(image, p + "x_proj", u_q)
+            dr, ds = cfg.dt_rank, cfg.d_state
+            dtr_q = rec(p + "dt_raw", dbl[:, :dr])
+            b_q = rec(p + "b", dbl[:, dr:dr + ds])
+            c_q = rec(p + "c", dbl[:, dr + ds:])
+            dtp_q = rec(p + "dt_pre", _matmul_layer(image, p + "dt_proj", dtr_q))
+
+            y_q = rec(p + "y", _scan_direction(image, p, u_q, b_q, c_q, dtp_q, stats))
+
+            sg = lut_eval(image.luts["silu"], rhu_shift(gate_q, exp_n[p + "gate"] - ACT_FRAC))
+            gated = rec(p + "gated", _rhu_clip(
+                y_q * sg, exp_n[p + "y"] + SILU_OUT_FRAC - exp_n[p + "gated"]))
+            out = _matmul_layer(image, p + "out_proj", gated)
             branches[d] = rec(p + "branch", out if d == "fwd" else out[::-1])
 
         nf = exp_n[f"blocks.{i}.fwd.branch"]
@@ -556,4 +536,4 @@ def engine_forward(image, window: np.ndarray, workers: int | None = None,
     if trace is not None:
         trace["logits_i32"] = logits_i.astype(np.int32)
     logits_f = logits_i.astype(np.float64) * image.head_dequant
-    return logits_i.astype(np.int64), logits_f, stats
+    return logits_i, logits_f, stats

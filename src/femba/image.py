@@ -119,11 +119,12 @@ def save_checkpoint(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, path):
     c.save(path)
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], fm.ModelConfig]:
-    """The weights and config of a float checkpoint; FormatError unless every
-    parameter of `model.param_shapes` is an f32 entry of its listed dims
-    holding finite values."""
-    c = ct.Container.load(path)
+def load_checkpoint(source) -> tuple[dict[str, np.ndarray], fm.ModelConfig]:
+    """The weights and config of a float checkpoint, given as a path or a
+    loaded container; FormatError unless every parameter of
+    `model.param_shapes` is an f32 entry of its listed dims holding finite
+    values."""
+    c = source if isinstance(source, ct.Container) else ct.Container.load(source)
     cfg, _ = _config_from_vec(c.array("config"), c.array("config_f"))
     weights = {}
     for name, shape in fm.param_shapes(cfg):
@@ -372,9 +373,9 @@ def load_image(source) -> EngineImage:
     head_dequant = _vector(c, "head.dequant", ct.DT_F32, cfg.n_classes).astype(np.float64)
     if not np.all(np.isfinite(head_dequant)):
         raise ct.FormatError("head.dequant: scales are not finite")
-    return EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps)), tensors=tensors,
-                       pool_m=int(pool_m[0]), pool_k=pool_k, head_dequant=head_dequant,
-                       luts=luts)
+    return EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps.tolist())),
+                       tensors=tensors, pool_m=int(pool_m[0]), pool_k=pool_k,
+                       head_dequant=head_dequant, luts=luts)
 
 
 def _read_lut(c: ct.Container, name: str) -> eng.Lut:

@@ -11,6 +11,7 @@ from femba import engine as eng
 from femba import image as im
 from femba import model as fm
 from femba import reference as ref
+from femba import streamsim as ss
 
 from conftest import TINY
 
@@ -484,6 +485,48 @@ class TestBench:
         out = tmp_path / "r.csv"
         assert run("bench", "--format", "csv", "--out", out) == 0
         assert out.read_text().startswith("section,")
+
+    @pytest.mark.parametrize("config_mode, flag, want", [
+        (None, None, "w8a8"), (None, "w2a8", "w2a8"), ("w2a8", None, "w2a8"),
+        ("w2a8", "w8a8", "w8a8"), ("w8a8", "w2a8", "w2a8")])
+    def test_mode_flag_overrides_config(self, tmp_path, capsys, config_mode, flag, want):
+        """--mode, when given, wins over the config's mode, which wins over
+        w8a8."""
+        cfgf = tmp_path / "bench.cfg"
+        text = "l2_bandwidth_bytes_per_cycle = 4.0\n"
+        cfgf.write_text(text + (f"mode = {config_mode}\n" if config_mode else ""))
+        flags = ["--mode", flag] if flag else []
+        assert run("bench", "--config", cfgf, "--format", "json", *flags) == 0
+        hier, cm, _ = ss.config_from_mapping(ss.parse_config_text(text))
+        cycles = {mode: ss.run_default(fm.ModelConfig(), cm, hier, mode).total_cycles
+                  for mode in ("w8a8", "w2a8")}
+        assert cycles["w8a8"] != cycles["w2a8"]
+        assert json.loads(capsys.readouterr().out)["cycles"] == cycles[want]
+
+
+class TestModelReadOnce:
+    @pytest.mark.parametrize("command", ["quantize fp32", "quantize w8a8",
+                                         "infer fp32", "infer fakequant"])
+    def test_checkpoint_loaded_once(self, tmp_path, monkeypatch, tiny_checkpoint,
+                                    tiny_archive, command):
+        """Each command reads the checkpoint file once."""
+        kind, mode = command.split()
+        real, loads = ct.Container.load.__func__, []
+
+        def counted(cls, path):
+            loads.append(str(path))
+            return real(cls, path)
+
+        monkeypatch.setattr(ct.Container, "load", classmethod(counted))
+        if kind == "quantize":
+            argv = ["quantize", tiny_checkpoint, tmp_path / "out.fmbc", "--mode", mode]
+            argv += ["--calib", tiny_archive] if mode != "fp32" else []
+        else:
+            argv = ["infer", write_manifest(tmp_path, model=tiny_checkpoint, mode=mode,
+                                            windows=tiny_archive,
+                                            output=str(tmp_path / "l.fmbc"))]
+        assert run(*argv) == 0
+        assert loads.count(tiny_checkpoint) == 1
 
 
 class TestLosses:

@@ -473,6 +473,18 @@ class TestEngineForward:
                 for tap in tr_r:
                     np.testing.assert_array_equal(tr_e[tap], tr_r[tap]), tap
 
+    def test_trace_dtypes(self, tiny_cfg, tiny_images):
+        """A trace holds every tap as int8 and logits_i32, the returned
+        integer logits, as int32: the dtypes `femba infer --dump` writes."""
+        for img in tiny_images.values():
+            trace = {}
+            win = make_windows(tiny_cfg, 1, seed=510)[0]
+            li, _, _ = eng.engine_forward(img, win, trace=trace)
+            want = {tap: np.dtype(np.int32 if tap == "logits_i32" else np.int8)
+                    for tap in [*fm.quant_points(tiny_cfg), "logits_i32"]}
+            assert {tap: a.dtype for tap, a in trace.items()} == want
+            np.testing.assert_array_equal(trace["logits_i32"], li)
+
     def test_grouped_tokenizer_config_bit_exact(self):
         """Two feature groups per patch (interleaved tokens), odd sizes, one
         block: the grouped layout must stay bit-exact across paths and match

@@ -139,6 +139,17 @@ def test_exponents_at_range_ends(cfg, pattern):
                  make_windows(cfg, 1, seed=pattern, scale=1e3))
 
 
+@pytest.mark.parametrize("mode", ["w8a8", "w2a8"])
+def test_act_exp_holds_python_ints(mode):
+    """Each tap's exponent loads as the Python int stored for it, so an
+    exponent never turns int32 array arithmetic into int64."""
+    img = im.load_image(ct.Container.frombytes(tiny_blob(mode)))
+    assert list(img.act_exp) == fm.quant_points(TINY)
+    assert {type(n) for n in img.act_exp.values()} == {int}
+    stored = ct.Container.frombytes(tiny_blob(mode)).array("act_exponents")
+    assert list(img.act_exp.values()) == stored.tolist()
+
+
 @pytest.mark.parametrize("value", [-1, qz.MAX_EXPONENT + 1, 70])
 def test_exponent_outside_range_rejected(value):
     c = build(TINY, "w8a8")
@@ -418,6 +429,10 @@ def test_checkpoint_holds_param_shapes_in_order(tmp_path, cfg):
     assert [(name, e.dims) for name, e in c.entries.items()][2:] == shapes
     got, got_cfg = im.load_checkpoint(path)
     assert got_cfg == cfg and list(got) == list(w)
+    from_c, from_c_cfg = im.load_checkpoint(c)
+    assert from_c_cfg == cfg and list(from_c) == list(w)
+    for name, a in from_c.items():
+        np.testing.assert_array_equal(a, got[name])
     for name, a in got.items():
         assert a.dtype == np.float64
         np.testing.assert_array_equal(a, w[name].astype(np.float32))
