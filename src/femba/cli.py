@@ -4,9 +4,8 @@ Subcommands: preprocess (recording -> window archive), quantize (checkpoint
 -> deployment image), infer (float / fake-quant / integer inference), bench
 (streaming cycle simulation), losses (objective evaluation on tensor files).
 
-Exit codes: 0 success, 2 input format error, 3 configuration/shape error,
-4 planning error. FEMBA_THREADS sets the number of threads over the windows
-of fp32 and fakequant inference (default: the CPU count).
+Exit codes: 0 success, 2 input format error or a file that cannot be read
+or written, 3 configuration/shape error, 4 planning error.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,15 +40,6 @@ INFER_MODES = (*qz.MODES, "fakequant")
 
 class CliConfigError(ValueError):
     pass
-
-
-def worker_count() -> int:
-    """FEMBA_THREADS, else the CPU count: the threads over the windows of the
-    float inference paths."""
-    env = os.environ.get("FEMBA_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def save_windows(path, windows: list[np.ndarray]):
@@ -139,9 +128,15 @@ def _load_manifest(path) -> dict:
             manifest = json.load(f)
     except json.JSONDecodeError as exc:
         raise ct.FormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ct.FormatError(f"manifest is a JSON {type(manifest).__name__}, not an object")
     for key in ("model", "mode", "windows", "output"):
         if key not in manifest:
             raise CliConfigError(f"manifest missing {key!r}")
+    for key in ("model", "mode", "windows", "output", "dump"):
+        if key in manifest and not isinstance(manifest[key], str):
+            raise CliConfigError(f"manifest {key} must be a string, "
+                                 f"not {type(manifest[key]).__name__}")
     if manifest["mode"] not in INFER_MODES:
         raise CliConfigError(f"manifest mode must be one of {INFER_MODES}")
     for key in ("model", "windows"):
@@ -153,30 +148,39 @@ def _load_manifest(path) -> dict:
 def cmd_infer(args) -> int:
     manifest = _load_manifest(args.manifest)
     mode = manifest["mode"]
-    windows = load_windows(manifest["windows"])
-    dump_path = manifest.get("dump") if args.dump else None
+    integer = mode not in ("fp32", "fakequant")
+    if args.dump and not integer:
+        raise CliConfigError(f"--dump writes integer traces, and mode {mode!r} has none")
+    if args.dump and "dump" not in manifest:
+        raise CliConfigError("--dump needs the manifest's 'dump' path")
+
     model_c = ct.Container.load(manifest["model"])
     _, model_mode = im._config_from_vec(model_c.array("config"), model_c.array("config_f"))
-
-    out = ct.Container()
-    dump = ct.Container() if dump_path else None
-
     if mode == "fp32" or (mode == "fakequant" and model_mode == "fp32"):
         if model_mode != "fp32":
             raise CliConfigError(f"mode {mode!r} needs a float checkpoint, got {model_mode!r}")
         weights, cfg = im.load_checkpoint(model_c)
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            logits = list(pool.map(lambda w: fm.forward(w, weights, cfg), windows))
-        out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
-    elif mode == "fakequant":
-        img = im.load_image(model_c)
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            logits = list(pool.map(lambda w: ref.fakequant_float_from_image(img, w), windows))
-        out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
     else:
         img = im.load_image(model_c)
-        if img.mode != mode:
+        cfg = img.cfg
+        if integer and img.mode != mode:
             raise CliConfigError(f"manifest mode {mode!r} does not match image mode {img.mode!r}")
+
+    windows = load_windows(manifest["windows"])
+    # an empty archive holds no window to check
+    if windows.shape[:1] != (0,) and windows.shape[1:] != (cfg.n_channels, cfg.n_samples):
+        raise CliConfigError(f"windows of shape {windows.shape[1:]} do not fit the model's "
+                             f"({cfg.n_channels}, {cfg.n_samples})")
+
+    out = ct.Container()
+    dump = ct.Container() if args.dump else None
+    if not integer:
+        if model_mode == "fp32":
+            logits = [fm.forward(w, weights, cfg) for w in windows]
+        else:
+            logits = [ref.fakequant_float_from_image(img, w) for w in windows]
+        out.add("logits", ct.DT_F32, np.asarray(logits, dtype=np.float32))
+    else:
         results = []
         stats = eng.EngineStats()
         for j, w in enumerate(windows):
@@ -196,7 +200,7 @@ def cmd_infer(args) -> int:
 
     out.save(manifest["output"])
     if dump is not None:
-        dump.save(dump_path)
+        dump.save(manifest["dump"])
     print(f"wrote logits for {len(windows)} windows to {manifest['output']}")
     return EXIT_OK
 
@@ -286,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("infer", help="run inference per a JSON manifest")
     sp.add_argument("manifest")
     sp.add_argument("--dump", action="store_true",
-                    help="also write per-layer activations (manifest 'dump' path)")
+                    help="also write the integer engine's per-layer activations "
+                         "(manifest 'dump' path)")
     sp.set_defaults(func=cmd_infer)
 
     sp = sub.add_parser("bench", help="memory-streaming cycle simulation")
@@ -323,8 +328,8 @@ def main(argv=None) -> int:
     except ct.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (FileNotFoundError, PermissionError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ss.PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -270,15 +271,120 @@ class TestInfer:
             return grids(cfg, exp)
 
         monkeypatch.setattr(im, "requant_grids", counted)
-        # one worker: from Python 3.12 cached_property takes no lock, so two
-        # first walks started together may each build the view
-        monkeypatch.setenv("FEMBA_THREADS", "1")
         out = tmp_path / "fq.fmbc"
         m = write_manifest(tmp_path, model=image_w8, mode="fakequant",
                            windows=str(wins), output=str(out))
         assert run("infer", m) == 0
         assert len(builds) == 1
         assert ct.Container.load(out).array("logits").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["fp32", "fakequant-checkpoint", "fakequant-image",
+                                      "w8a8"])
+    def test_windows_run_in_the_calling_thread(self, tmp_path, monkeypatch, tiny_checkpoint,
+                                               image_w8, tiny_windows, case):
+        """Every mode runs its windows one after the other, in window order,
+        in the thread that called femba infer."""
+        mode, _, model = case.partition("-")
+        model = image_w8 if model == "image" or mode == "w8a8" else tiny_checkpoint
+        wins = tmp_path / "three.fmbc"
+        cli.save_windows(str(wins), [w.astype(np.float32) for w in tiny_windows[:3]])
+        calls = []
+
+        def spy(module, name, window_arg):
+            real = getattr(module, name)
+
+            def called(*args, **kw):
+                calls.append((threading.get_ident(), args[window_arg]))
+                return real(*args, **kw)
+            monkeypatch.setattr(module, name, called)
+
+        spy(fm, "forward", 0)
+        spy(ref, "fakequant_float_from_image", 1)
+        spy(eng, "engine_forward", 1)
+        m = write_manifest(tmp_path, model=model, mode=mode, windows=str(wins),
+                           output=str(tmp_path / "l.fmbc"))
+        assert run("infer", m) == 0
+        want = cli.load_windows(str(wins))
+        assert [ident for ident, _ in calls] == [threading.get_ident()] * len(want)
+        for (_, got), w in zip(calls, want):
+            np.testing.assert_array_equal(got, w)
+
+    @pytest.mark.parametrize("mode", ["w8a8", "w2a8", "fakequant", "fp32"])
+    def test_window_shape_mismatch_exit_3(self, tmp_path, capsys, tiny_checkpoint,
+                                          tiny_archive, tiny_windows, mode):
+        """Windows of the model's size but transposed dims exit 3, naming
+        both shapes, before any window runs."""
+        model = tiny_checkpoint
+        if mode != "fp32":
+            model = str(tmp_path / "img.fmbc")
+            assert run("quantize", tiny_checkpoint, model, "--mode",
+                       "w2a8" if mode == "w2a8" else "w8a8", "--calib", tiny_archive) == 0
+        wins = tmp_path / "transposed.fmbc"
+        cli.save_windows(str(wins), [w.T.astype(np.float32) for w in tiny_windows])
+        out = tmp_path / "l.fmbc"
+        m = write_manifest(tmp_path, model=model, mode=mode, windows=str(wins),
+                           output=str(out))
+        capsys.readouterr()
+        assert run("infer", m) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str((TINY.n_samples, TINY.n_channels)) in err
+        assert str((TINY.n_channels, TINY.n_samples)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["w8a8", "fakequant", "fp32"])
+    def test_empty_archive_writes_empty_logits(self, tmp_path, tiny_checkpoint, image_w8,
+                                               mode):
+        """An archive of no windows, whose stored window shape is the full
+        model's, not TINY's, writes empty logits and exits 0."""
+        wins = tmp_path / "empty.fmbc"
+        cli.save_windows(str(wins), [])
+        out = tmp_path / "l.fmbc"
+        m = write_manifest(tmp_path, model=tiny_checkpoint if mode == "fp32" else image_w8,
+                           mode=mode, windows=str(wins), output=str(out))
+        assert run("infer", m) == 0
+        assert ct.Container.load(out).array("logits").size == 0
+
+    @pytest.mark.parametrize("text", ["7", "[]"], ids=["number", "list"])
+    def test_manifest_not_an_object_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert run("infer", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [0, ["x"]], ids=["int", "list"])
+    @pytest.mark.parametrize("key", ["model", "mode", "windows", "output", "dump"])
+    def test_manifest_value_not_a_string_exit_3(self, tmp_path, capsys, tiny_checkpoint,
+                                                tiny_archive, key, value):
+        """Each path and the mode must be a JSON string: an int would name a
+        file descriptor (``"windows": 0`` is stdin)."""
+        kw = dict(model=tiny_checkpoint, mode="fp32", windows=tiny_archive,
+                  output=str(tmp_path / "l.fmbc"), dump=str(tmp_path / "d.fmbc"))
+        kw[key] = value
+        assert run("infer", write_manifest(tmp_path, **kw)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {key} must be a string")
+        assert not (tmp_path / "l.fmbc").exists()
+
+    def test_dump_without_path_exit_3(self, tmp_path, capsys, image_w8, tiny_archive):
+        out = tmp_path / "l.fmbc"
+        m = write_manifest(tmp_path, model=image_w8, mode="w8a8",
+                           windows=tiny_archive, output=str(out))
+        assert run("infer", m, "--dump") == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fp32", "fakequant"])
+    def test_dump_of_float_mode_exit_3(self, tmp_path, capsys, tiny_checkpoint, tiny_archive,
+                                       mode):
+        """The dump holds integer traces, which the float modes do not make."""
+        dump = tmp_path / "dump.fmbc"
+        m = write_manifest(tmp_path, model=tiny_checkpoint, mode=mode, windows=tiny_archive,
+                           output=str(tmp_path / "l.fmbc"), dump=str(dump))
+        assert run("infer", m, "--dump") == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not dump.exists()
 
     def test_mode_mismatch_exit_3(self, tmp_path, image_w8, tiny_archive):
         m = write_manifest(tmp_path, model=image_w8, mode="w2a8",
@@ -527,6 +633,25 @@ class TestModelReadOnce:
                                             output=str(tmp_path / "l.fmbc"))]
         assert run(*argv) == 0
         assert loads.count(tiny_checkpoint) == 1
+
+
+@pytest.mark.parametrize("command", ["quantize", "preprocess", "infer", "bench --out"])
+def test_output_path_is_a_directory(tmp_path, capsys, tiny_checkpoint, tiny_archive, command):
+    """An output path that names a directory exits 2 with the error, which
+    names the path."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rec = tmp_path / "rec.sig"
+    ct.write_recording(rec, np.random.default_rng(3).normal(0, 10, (22, 1280)), 256.0)
+    manifest = write_manifest(tmp_path, model=tiny_checkpoint, mode="fp32",
+                              windows=tiny_archive, output=str(out))
+    argv = {"quantize": ["quantize", tiny_checkpoint, out, "--mode", "fp32"],
+            "preprocess": ["preprocess", rec, out],
+            "infer": ["infer", manifest],
+            "bench --out": ["bench", "--format", "json", "--out", out]}[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
 
 
 class TestLosses:

@@ -552,22 +552,17 @@ class TestEngineForward:
             li_r, _ = ref.reference_int_forward(img, win)
             np.testing.assert_array_equal(li_e, li_r)
 
-    def test_worker_and_rerun_determinism(self, tiny_cfg, tiny_images, monkeypatch):
-        """Repeated calls give the same logits, whatever FEMBA_THREADS says."""
+    def test_rerun_determinism(self, tiny_cfg, tiny_images):
+        """Repeated calls give the same logits."""
         img = tiny_images["w8a8"]
         win = make_windows(tiny_cfg, 1, seed=777)[0]
-        monkeypatch.delenv("FEMBA_THREADS", raising=False)
-        runs = [eng.engine_forward(img, win)[0]]
-        for threads in ("1", "2", "8", "16"):
-            monkeypatch.setenv("FEMBA_THREADS", threads)
-            runs.append(eng.engine_forward(img, win)[0])
+        runs = [eng.engine_forward(img, win)[0] for _ in range(5)]
         for r in runs[1:]:
             np.testing.assert_array_equal(r, runs[0])
 
     def test_scans_run_in_the_calling_thread(self, tiny_cfg, tiny_images, monkeypatch):
         """Every block's forward and backward scan runs in the thread that
-        called engine_forward, also with FEMBA_THREADS=2 and from a thread
-        other than the main one."""
+        called engine_forward, also from a thread other than the main one."""
         real, seen = eng._scan_direction, []
 
         def spy(image, p, *args):
@@ -584,16 +579,10 @@ class TestEngineForward:
             assert [p for p, _ in seen] == scans
             return {ident for _, ident in seen}
 
-        def check():
-            assert threads() == {threading.get_ident()}
-            with ThreadPoolExecutor(1) as pool:
-                caller = pool.submit(threading.get_ident).result()
-                assert pool.submit(threads).result() == {caller}
-
-        monkeypatch.delenv("FEMBA_THREADS", raising=False)
-        check()
-        monkeypatch.setenv("FEMBA_THREADS", "2")
-        check()
+        assert threads() == {threading.get_ident()}
+        with ThreadPoolExecutor(1) as pool:
+            caller = pool.submit(threading.get_ident).result()
+            assert pool.submit(threads).result() == {caller}
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_scan_chunks_of_rows_bit_exact(self, tiny_cfg, tiny_images, monkeypatch, rows):
@@ -724,12 +713,8 @@ class TestOverlappingForwards:
         li, lf, stats = eng.engine_forward(img, win, trace=trace)
         return li, lf, trace, stats
 
-    @pytest.mark.parametrize("femba_threads", ["1", "2"])
     @pytest.mark.parametrize("callers", [2, 8])
-    def test_equal_to_serial_calls(self, tiny_cfg, tiny_containers, monkeypatch, callers,
-                                   femba_threads):
-        """Whatever FEMBA_THREADS says: the engine has no threads of its own."""
-        monkeypatch.setenv("FEMBA_THREADS", femba_threads)
+    def test_equal_to_serial_calls(self, tiny_cfg, tiny_containers, callers):
         wins = make_windows(tiny_cfg, callers, seed=880)
         for mode, c in tiny_containers.items():
             serial = im.load_image(c)
