@@ -62,13 +62,18 @@ def load_windows(path) -> np.ndarray:
 
 def read_any_recording(path) -> tuple[np.ndarray, float]:
     """Accept either the raw FEMB-SIG stream or a tensor container with
-    'samples' (channels x n, f32) and 'rate' entries."""
+    'samples' (channels x n, f32) and 'rate' (one value) entries. The rate
+    is finite and positive in both."""
     with open(path, "rb") as f:
         magic = f.read(4)
-    if magic == ct.MAGIC:
-        c = ct.Container.load(path)
-        return c.array("samples").astype(np.float64), float(c.array("rate")[0])
-    return ct.read_recording(path)
+    if magic != ct.MAGIC:
+        return ct.read_recording(path)
+    c = ct.Container.load(path)
+    samples, rate = c.array("samples"), c.array("rate").reshape(-1)
+    if samples.ndim != 2 or rate.size != 1 or not 0 < rate[0] < np.inf:
+        raise ct.FormatError(f"recording of samples {samples.shape} and rate {rate.tolist()}: "
+                             "expected (channels, n) samples and one finite positive rate")
+    return samples.astype(np.float64), float(rate[0])
 
 
 def cmd_preprocess(args) -> int:
@@ -226,41 +231,54 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _tensor(path, name="tensor") -> np.ndarray:
-    c = ct.Container.load(path)
-    return c.array(name).astype(np.float64)
+def _tensor(path) -> np.ndarray:
+    return ct.Container.load(path).array("tensor").astype(np.float64)
+
+
+# the tensor flags each loss reads, besides the optional --mask
+_LOSS_INPUTS = {"smooth_l1": ("pred", "target"), "info_nce": ("anchor", "positive", "negatives"),
+                "focal": ("probs", "labels")}
 
 
 def cmd_losses(args) -> int:
+    missing = [f"--{k}" for k in _LOSS_INPUTS[args.loss] if getattr(args, k) is None]
+    if missing:
+        raise CliConfigError(f"--loss {args.loss} requires {', '.join(missing)}")
+    t = {k: _tensor(getattr(args, k)) for k in _LOSS_INPUTS[args.loss]}
     outc = ct.Container()
     if args.loss == "smooth_l1":
-        pred = _tensor(args.pred)
-        target = _tensor(args.target)
-        if pred.shape != target.shape:
-            raise CliConfigError(f"shape mismatch {pred.shape} vs {target.shape}")
-        mask = None
-        if args.mask:
-            mask = ct.Container.load(args.mask).array("tensor").astype(bool)
-        loss, grad = obj.smooth_l1(pred, target, args.beta, mask)
+        if t["pred"].shape != t["target"].shape:
+            raise CliConfigError(f"shape mismatch {t['pred'].shape} vs {t['target'].shape}")
+        mask = _tensor(args.mask).astype(bool) if args.mask else None
+        if mask is not None and mask.shape != t["pred"].shape:
+            raise CliConfigError(f"--mask {mask.shape} must match --pred {t['pred'].shape}")
+        loss, grad = obj.smooth_l1(t["pred"], t["target"], args.beta, mask)
         outc.add("grad_pred", ct.DT_F32, grad.astype(np.float32))
     elif args.loss == "info_nce":
-        anchor = _tensor(args.anchor)
-        positive = _tensor(args.positive)
-        negatives = _tensor(args.negatives)
-        if anchor.shape != positive.shape:
-            raise CliConfigError(f"shape mismatch {anchor.shape} vs {positive.shape}")
-        loss, grads = obj.info_nce(anchor, positive, negatives, args.tau)
+        anchor, negatives = t["anchor"], t["negatives"]
+        if anchor.shape != t["positive"].shape or anchor.ndim not in (1, 2):
+            raise CliConfigError(f"--anchor and --positive must be (B, D) or (D,) alike, "
+                                 f"got {anchor.shape} and {t['positive'].shape}")
+        bsz, dim = np.atleast_2d(anchor).shape
+        if not (negatives.ndim in (2, 3) and negatives.shape[-1] == dim
+                and negatives.shape[:-2] in ((), (bsz,))):
+            raise CliConfigError(f"--negatives of shape {negatives.shape}, expected "
+                                 f"(K, {dim}) or ({bsz}, K, {dim})")
+        for flag, x in t.items():
+            if np.any(np.linalg.norm(x, axis=-1) == 0):
+                raise CliConfigError(f"--{flag} holds a zero-norm embedding")
+        loss, grads = obj.info_nce(anchor, t["positive"], negatives, args.tau)
         for key, g in grads.items():
             outc.add(f"grad_{key}", ct.DT_F32, g.astype(np.float32))
-    elif args.loss == "focal":
-        probs = _tensor(args.probs)
-        labels = ct.Container.load(args.labels).array("tensor").astype(np.int64)
-        if probs.shape[0] != labels.shape[0]:
-            raise CliConfigError("probs/labels batch mismatch")
-        loss, grad = obj.focal_loss(probs, labels, args.alpha, args.gamma)
+    else:  # focal
+        probs, labels = t["probs"], t["labels"]
+        if probs.ndim != 2 or labels.shape != probs.shape[:1]:
+            raise CliConfigError(f"--labels of shape {labels.shape} must hold one label per "
+                                 f"row of --probs {probs.shape}")
+        if not np.all((labels == np.round(labels)) & (labels >= 0) & (labels < probs.shape[1])):
+            raise CliConfigError(f"--labels must be integers in [0, {probs.shape[1]})")
+        loss, grad = obj.focal_loss(probs, labels.astype(np.int64), args.alpha, args.gamma)
         outc.add("grad_probs", ct.DT_F32, grad.astype(np.float32))
-    else:
-        raise CliConfigError(f"unknown loss {args.loss!r}")
     print(f"{loss:.9f}")
     if args.out:
         outc.save(args.out)

@@ -96,9 +96,6 @@ class Container:
         self.entries[name] = e
         return e
 
-    def __contains__(self, name):
-        return name in self.entries
-
     def get(self, name) -> Entry:
         if name not in self.entries:
             raise FormatError(f"missing container entry {name!r}")
@@ -244,7 +241,7 @@ def read_recording(path) -> tuple[np.ndarray, float]:
         raise FormatError(f"bad recording magic {magic!r} (at byte 0)")
     if version != SIG_VERSION:
         raise FormatError(f"unsupported recording version {version} (at byte 8)")
-    if channels < 1 or rate <= 0:
+    if channels < 1 or not 0 < rate < math.inf:
         raise FormatError("invalid recording header (at byte 10)")
     want = channels * length
     data = np.frombuffer(blob, dtype="<f4", count=-1, offset=_SIG_HDR.size)

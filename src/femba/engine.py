@@ -25,14 +25,15 @@ Exact arithmetic on fast kernels
                 weight is converted to float32 once per loaded image
                 (QTensor.f32); t2 weights are unpacked to float32 on every
                 call. load_image bounds the final accumulator by INT32_MAX.
-  LUTs          lut_eval interpolates in int32: the position is clipped to
-                (LUT_SIZE-1) << step_shift < 2^31 and the rounded product of
-                an entry difference (|d| < 2^16) and the fraction
-                (< 2^step_shift <= 2^LUT_MAX_STEP_SHIFT) stays below 2^31.
-                load_image checks both bounds. The scan reads exp through
-                Lut.dense, lut_eval at every integer input of the domain:
-                (LUT_SIZE-1) * 2^step_shift + 1 int32 entries, 65,473 for the
-                built table (step_shift 6) and at most ~1 M (4 MB).
+  LUTs          a table is read by one gather from Lut.dense, its value at
+                every integer input of the domain: (LUT_SIZE-1) * 2^step_shift
+                + 1 int32 entries, 65,473 for exp (step_shift 6), 523,777 for
+                SiLU (9) and 1,047,553 for softplus (10), and at most ~1 M
+                (4 MB) for any image load_image accepts. The build rounds
+                e[i] + ((d[i] * r + (2^s >> 1)) >> s) in int32 for each entry i,
+                d[i] its difference to the next (|d| < 2^16) and r < 2^s <=
+                2^LUT_MAX_STEP_SHIFT. lut_eval forms the index x - lo_fixed
+                in int64, so no input wraps, and the gather clips it.
   scan build    the exp table index rhu(dt * a_coef, k) - lo_fixed stays
                 int64 (|dt * a_coef| <= 2^15 * 2^7 * 2^15 = 2^37) and takes
                 one add and one shift: (dt * a_coef + 2^(k-1) - lo_fixed *
@@ -87,9 +88,9 @@ ACT_FRAC = 15       # int8 activations widened for LUT input
 # (input, output) fractional bits of each table, as both integer paths use it
 LUT_FORMATS = {"exp": (EXP_IN_FRAC, 15), "silu": (ACT_FRAC, SILU_OUT_FRAC),
                "softplus": (ACT_FRAC, DT_FRAC)}
-# the widest step any builder writes (softplus). It bounds Lut.dense at
-# (LUT_SIZE-1) * 2^10 + 1 entries and the interpolation product
-# |entry difference| * fraction below 2^16 * 2^10.
+# the widest step any builder writes (softplus). It bounds every Lut.dense at
+# (LUT_SIZE-1) * 2^10 + 1 int32 entries (~1 M) and its build product
+# |entry difference| * step below 2^16 * 2^10.
 LUT_MAX_STEP_SHIFT = 10
 
 
@@ -131,7 +132,7 @@ class Lut:
 
     Entry i sits at input (lo_fixed + i * 2^step_shift) / 2^in_frac; outputs
     are int16 with out_frac fractional bits. Inputs outside the domain clamp
-    to the boundary entries.
+    to the boundary entries. The engine reads it through `dense`.
     """
     name: str
     entries: np.ndarray  # int16, LUT_SIZE
@@ -141,39 +142,27 @@ class Lut:
     step_shift: int
 
     @functools.cached_property
-    def segments(self) -> np.ndarray:
-        """(LUT_SIZE, 2) int32: each entry and its difference to the next.
-        The last entry repeats past the end, so the top of the domain has
-        difference 0 and needs no index clamp."""
-        e = self.entries.astype(np.int32)
-        return np.stack([e, np.diff(e, append=e[-1])], axis=1)
-
-    @functools.cached_property
     def dense(self) -> np.ndarray:
-        """int32 lut_eval at every integer input of the domain, lo_fixed
-        first: one gather evaluates the table."""
-        top = (LUT_SIZE - 1) << self.step_shift
-        return lut_eval(self, np.arange(self.lo_fixed, self.lo_fixed + top + 1))
+        """int32 value at every integer input of the domain, lo_fixed first:
+        the 2^step_shift rounded steps from each entry toward the next, then
+        the last entry. One gather evaluates the table."""
+        s = self.step_shift
+        e = self.entries.astype(np.int32)
+        out = np.empty(((LUT_SIZE - 1) << s) + 1, dtype=np.int32)
+        y = out[:-1].reshape(LUT_SIZE - 1, 1 << s)
+        np.multiply(np.diff(e)[:, None], np.arange(1 << s, dtype=np.int32), out=y)
+        y += (1 << s) >> 1
+        y >>= s
+        y += e[:-1, None]
+        out[-1] = e[-1]
+        return out
 
 
 def lut_eval(lut: Lut, x_fixed) -> np.ndarray:
-    """Rounded linear interpolation between adjacent entries, in int32.
-
-    Returns int32 values inside the range of the int16 entries. The domain
-    [lo_fixed, lo_fixed + (LUT_SIZE-1) << step_shift] must lie inside int32
-    (load_image checks it).
-    """
-    s, lo = lut.step_shift, lut.lo_fixed
-    pos = np.empty(np.shape(x_fixed), dtype=np.int32)
-    np.clip(x_fixed, lo, lo + ((LUT_SIZE - 1) << s), out=pos, casting="unsafe")
-    pos -= lo
-    seg = lut.segments.take(np.right_shift(pos, s, dtype=np.intp), axis=0)
-    pos &= (1 << s) - 1  # the fraction
-    y = seg[..., 1] * pos
-    y += (1 << s) >> 1
-    y >>= s
-    y += seg[..., 0]
-    return y
+    """The table at x_fixed, clamped to the domain: one gather from
+    Lut.dense, the index formed in int64. Returns int32 values inside the
+    range of the int16 entries."""
+    return np.take(lut.dense, np.subtract(x_fixed, lut.lo_fixed, dtype=np.int64), mode="clip")
 
 
 def _grid(lut_lo_fixed: int, in_frac: int, step_shift: int) -> np.ndarray:

@@ -380,8 +380,9 @@ def load_image(source) -> EngineImage:
 
 def _read_lut(c: ct.Container, name: str) -> eng.Lut:
     """A scan LUT whose size, formats and domain fit both integer paths:
-    LUT_SIZE entries, the fixed-point formats they hard-code, and a domain
-    and interpolation product inside the int32 arithmetic of lut_eval."""
+    LUT_SIZE entries, the fixed-point formats they hard-code, a domain
+    inside int32, and a step that bounds the engine's dense table at ~1 M
+    int32 entries and its build product inside int32."""
     entries = c.array(f"luts.{name}").astype(np.int16)
     meta = c.array(f"luts.{name}.meta").astype(np.int64).reshape(-1)
     if entries.size != eng.LUT_SIZE or meta.size != 4:

@@ -19,7 +19,6 @@ PT_FLOOR = 1e-12
 @dataclass(frozen=True)
 class MaskSpec:
     n_patches: int = 80
-    patch_size: int = 16
     ratio: float = 0.55  # drawn in [0.5, 0.6] by callers
     mode: str = "random"  # "random" | "clustered"
     seed: int = 0
@@ -118,7 +117,7 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float,
     return loss, w * grad_elem / n
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, eps_check: float = 0.0):
+def _cosine(a: np.ndarray, b: np.ndarray):
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     if np.any(na == 0) or np.any(nb == 0):

@@ -24,6 +24,7 @@ from . import model as fm
 MODES = {"fp32": 32, "w8a8": 8, "w4a8": 4, "w2a8": 2}
 MAX_EXPONENT = 24  # finest activation grid 2^-24; image.load_image holds images to it
 DEFAULT_CLIP_PCT = 99.9
+TERNARY_THRESHOLD = 0.7  # ternarize keeps the weights above this share of their row's mean |w|
 
 
 class CalibrationError(ValueError):
@@ -66,10 +67,10 @@ def quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
     return QuantizedTensor(q.reshape(w.shape), scales, bits)
 
 
-def ternarize(w: np.ndarray, threshold_factor: float = 0.7) -> QuantizedTensor:
+def ternarize(w: np.ndarray) -> QuantizedTensor:
     """Per-channel ternary quantization.
 
-    Threshold t_c = threshold_factor * mean|row|; weights above it keep their
+    Threshold t_c = TERNARY_THRESHOLD * mean|row|; weights above it keep their
     sign, the rest become zero. The channel scale is the mean magnitude of the
     surviving weights (1.0 when nothing survives).
     """
@@ -77,7 +78,7 @@ def ternarize(w: np.ndarray, threshold_factor: float = 0.7) -> QuantizedTensor:
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     flat = w.reshape(w.shape[0], -1)
-    t = threshold_factor * np.abs(flat).mean(axis=1)
+    t = TERNARY_THRESHOLD * np.abs(flat).mean(axis=1)
     keep = np.abs(flat) > t[:, None]
     q = np.where(keep, np.sign(flat), 0.0).astype(np.int8)
     sums = np.where(keep, np.abs(flat), 0.0).sum(axis=1)
@@ -202,7 +203,6 @@ def bias_arrays(weights: dict[str, np.ndarray], cfg: fm.ModelConfig) -> dict[str
 
 @dataclass
 class QuantArtifacts:
-    cfg: fm.ModelConfig
     mode: str
     weights_q: dict[str, QuantizedTensor] = field(default_factory=dict)
     biases: dict[str, np.ndarray] = field(default_factory=dict)
@@ -236,7 +236,7 @@ def quantize_model(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, mode: st
                    run_bias_correct: bool = False) -> QuantArtifacts:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {tuple(MODES)}")
-    art = QuantArtifacts(cfg=cfg, mode=mode)
+    art = QuantArtifacts(mode=mode)
     if mode == "fp32":
         return art
     bits = MODES[mode]
@@ -260,14 +260,12 @@ def fake_quant_forward(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
                        art: QuantArtifacts, window: np.ndarray,
                        trace: dict | None = None) -> np.ndarray:
     """Float arithmetic with quantize->dequantize at every weight and
-    activation point: the artifacts' dequantized weights and (correctable)
-    biases laid over the float tensor table. With mode fp32 this is the
-    plain float forward."""
+    activation point, over a tensor table of the artifacts' dequantized
+    weights and (correctable) biases alone. With mode fp32 this is the plain
+    float forward of ``weights``, the only mode that reads them."""
     if art.mode == "fp32":
         return fm.forward(window, weights, cfg, trace=trace)
-    table = fm.tensor_table(weights, cfg)
-    table.update((name, (qt.dequant(), art.biases.get(name)))
-                 for name, qt in art.weights_q.items())
+    table = {name: (qt.dequant(), art.biases.get(name)) for name, qt in art.weights_q.items()}
     exps = {tap: art.exponent(tap) for tap in fm.quant_points(cfg)}
     return fm.Walk(table, cfg, exps, trace).run(window)
 

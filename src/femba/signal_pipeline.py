@@ -23,6 +23,8 @@ TARGET_RATE_HZ = 256.0
 WINDOW_CHANNELS = 22
 WINDOW_SAMPLES = 1280
 IQR_EPS = 1e-8
+BANDPASS_ORDER = 4  # Butterworth prototype order of the band-pass
+TARGET_CUTOFF_HZ = 40.0  # low-pass corner of the reconstruction target
 
 
 class FilterSpecError(ValueError):
@@ -84,13 +86,12 @@ def _zero_phase(sos, x):
     return y[..., n:2 * n]
 
 
-def bandpass(x: np.ndarray, fs: float, lo_hz: float = 1.0, hi_hz: float = 75.0,
-             order: int = 4) -> np.ndarray:
+def bandpass(x: np.ndarray, fs: float, lo_hz: float = 1.0, hi_hz: float = 75.0) -> np.ndarray:
     """Zero-phase Butterworth band-pass along the last axis."""
     if not lo_hz < hi_hz:
         raise FilterSpecError(f"band edges out of order: {lo_hz} >= {hi_hz}")
     _check_cutoffs(fs, lo_hz, hi_hz)
-    sos = sps.butter(order, [lo_hz, hi_hz], btype="bandpass", fs=fs, output="sos")
+    sos = sps.butter(BANDPASS_ORDER, [lo_hz, hi_hz], btype="bandpass", fs=fs, output="sos")
     return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
@@ -102,16 +103,12 @@ def notch(x: np.ndarray, fs: float, f0_hz: float = 60.0, q_factor: float = 30.0)
     return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
-def lowpass_biquad(x: np.ndarray, fs: float = TARGET_RATE_HZ, cutoff_hz: float = 40.0) -> np.ndarray:
-    """Zero-phase 2nd-order Butterworth low-pass (Q = 1/sqrt(2), bilinear)."""
-    _check_cutoffs(fs, cutoff_hz)
-    sos = sps.butter(2, cutoff_hz, btype="low", fs=fs, output="sos")
-    return _zero_phase(sos, np.asarray(x, dtype=np.float64))
-
-
 def lowpass_target(x: np.ndarray, fs: float = TARGET_RATE_HZ) -> np.ndarray:
-    """Reconstruction target: the input with content above 40 Hz suppressed."""
-    return lowpass_biquad(x, fs=fs, cutoff_hz=40.0)
+    """Reconstruction target: the input with content above 40 Hz suppressed,
+    by a zero-phase 2nd-order Butterworth low-pass (Q = 1/sqrt(2), bilinear)."""
+    _check_cutoffs(fs, TARGET_CUTOFF_HZ)
+    sos = sps.butter(2, TARGET_CUTOFF_HZ, btype="low", fs=fs, output="sos")
+    return _zero_phase(sos, np.asarray(x, dtype=np.float64))
 
 
 def resample(x: np.ndarray, fs_in: float, fs_out: float = TARGET_RATE_HZ) -> np.ndarray:

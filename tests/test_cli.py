@@ -108,6 +108,25 @@ class TestPreprocess:
         assert run("preprocess", rec, tmp_path / "d.fmbc") == 0
         assert not np.array_equal(cli.load_windows(out), cli.load_windows(tmp_path / "d.fmbc"))
 
+    @pytest.mark.parametrize("case", ["empty rate", "two rates", "1-D samples",
+                                      "sig NaN rate"])
+    def test_malformed_recording_exit_2(self, tmp_path, capsys, case):
+        samples = np.random.default_rng(1).normal(0, 10, (22, 1280)).astype(np.float32)
+        rec = tmp_path / "rec.fmbc"
+        if case == "sig NaN rate":
+            rec = tmp_path / "rec.sig"
+            ct.write_recording(rec, samples, float("nan"))
+        else:
+            rate = {"empty rate": [], "two rates": [256.0, 128.0]}.get(case, [256.0])
+            c = ct.Container()
+            c.add("samples", ct.DT_F32, samples[0] if case == "1-D samples" else samples)
+            c.add("rate", ct.DT_F32, np.array(rate, dtype=np.float32))
+            c.save(rec)
+        assert run("preprocess", rec, tmp_path / "w.fmbc") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "w.fmbc").exists()
+
     @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128",
                                       "notch_hz = abc", "iqr_scope = banana", "notch_hz 50"])
     def test_unknown_config_key_exit_3(self, tmp_path, capsys, line):
@@ -421,8 +440,8 @@ class TestInfer:
                            windows=tiny_archive, output=str(out), dump=str(dump))
         assert run("infer", m, "--dump") == 0
         d = ct.Container.load(dump)
-        assert "w0.input" in d and "w0.logits_i32" in d
-        assert "w0.blocks.0.fwd.y" in d
+        assert "w0.input" in d.entries and "w0.logits_i32" in d.entries
+        assert "w0.blocks.0.fwd.y" in d.entries
 
 
 class TestNonFiniteWindows:
@@ -696,6 +715,36 @@ class TestLosses:
         p = self._tensor_file(tmp_path, "p.fmbc", np.zeros((2, 3), dtype=np.float32))
         t = self._tensor_file(tmp_path, "t.fmbc", np.zeros((2, 4), dtype=np.float32))
         assert run("losses", "--loss", "smooth_l1", "--pred", p, "--target", t) == 3
+
+    @pytest.mark.parametrize("case", ["smooth_l1 without pred", "smooth_l1 mask of other shape",
+                                      "focal label 5",
+                                      "focal label -1", "focal label 0.5",
+                                      "info_nce zero norm", "info_nce 1-D negatives",
+                                      "info_nce negatives of other dim"])
+    def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
+        f = lambda name, arr: self._tensor_file(tmp_path, name, np.asarray(arr, np.float32))
+        eye = np.eye(4)
+        if case == "smooth_l1 without pred":
+            argv, flag = ["--loss", "smooth_l1", "--target", f("t", eye)], "--pred"
+        elif case == "smooth_l1 mask of other shape":
+            argv = ["--loss", "smooth_l1", "--pred", f("p", eye[:3]), "--target", f("t", eye[:3]),
+                    "--mask", f("m", np.ones(4))]
+            flag = "--mask"
+        elif case.startswith("focal"):
+            label = float(case.split()[-1])
+            argv = ["--loss", "focal", "--probs", f("p", np.full((2, 3), 1 / 3)),
+                    "--labels", f("l", [0.0, label])]
+            flag = "--labels"
+        else:
+            neg = {"info_nce zero norm": np.zeros((3, 4)), "info_nce 1-D negatives": eye[1],
+                   "info_nce negatives of other dim": np.eye(5)[1:]}[case]
+            argv = ["--loss", "info_nce", "--anchor", f("a", eye[:1]),
+                    "--positive", f("a2", eye[:1]), "--negatives", f("n", neg)]
+            flag = "--negatives"
+        assert run("losses", *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_golden_regression(self, tmp_path, capsys):
         rng = np.random.default_rng(123)

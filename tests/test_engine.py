@@ -95,14 +95,15 @@ class TestLuts:
             [-(2**40), 2**40, im.INT32_MAX]])
         np.testing.assert_array_equal(eng.lut_eval(lut, xs), ref._interp(lut, xs))
 
-    @pytest.mark.parametrize("table", ["exp", "at_int32_limit"])
+    @pytest.mark.parametrize("table", ["exp", "silu", "softplus", "at_int32_limit"])
     def test_dense_table_equals_interpolation(self, table):
         """Lut.dense is the table evaluated at every integer input of its
-        domain, by lut_eval and by the reference's own interpolation: for the
-        built exp table, and for the widest table load_image accepts, whose
-        domain ends at INT32_MAX."""
-        if table == "exp":
-            lut = eng.build_exp_lut()
+        domain by the reference's own interpolation: for each built table,
+        and for the widest table load_image accepts, whose domain ends at
+        INT32_MAX. The exp table's domain ends at 0, so positive scan
+        products clamp to 1.0."""
+        if table in eng.LUT_FORMATS:
+            lut = eng.build_all_luts()[table]
         else:
             s = eng.LUT_MAX_STEP_SHIFT
             entries = np.where(np.arange(eng.LUT_SIZE) % 3 == 0, -32768, 32767).astype(np.int16)
@@ -110,8 +111,9 @@ class TestLuts:
                           eng.EXP_IN_FRAC, 15, s)
         xs = lut.lo_fixed + np.arange(((eng.LUT_SIZE - 1) << lut.step_shift) + 1)
         assert lut.dense.dtype == np.int32 and lut.dense.size == xs.size
-        assert xs[-1] == (im.INT32_MAX if table != "exp" else 0)
-        np.testing.assert_array_equal(lut.dense, eng.lut_eval(lut, xs))
+        top = {"exp": 0, "at_int32_limit": im.INT32_MAX}.get(table)
+        if top is not None:
+            assert xs[-1] == top
         np.testing.assert_array_equal(lut.dense, ref._interp(lut, xs))
 
     def test_dense_exp_table_size(self):

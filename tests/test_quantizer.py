@@ -192,6 +192,20 @@ class TestFakeQuantForward:
         np.testing.assert_allclose(
             a, [0.16949019, -0.05011492, -0.19488653], rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("mode", ["w8a8", "w2a8"])
+    def test_quantized_modes_read_no_float_weights(self, tiny_cfg, tiny_weights,
+                                                   tiny_windows, mode):
+        """Outside fp32 the walk reads the artifacts alone: no float weights
+        give the same logits and trace as the weights they came from."""
+        art = qz.quantize_model(tiny_weights, tiny_cfg, mode, tiny_windows)
+        with_w, without = {}, {}
+        a = qz.fake_quant_forward(tiny_weights, tiny_cfg, art, tiny_windows[0], with_w)
+        b = qz.fake_quant_forward({}, tiny_cfg, art, tiny_windows[0], without)
+        assert np.array_equal(a, b)
+        assert list(with_w) == list(without)
+        for key in with_w:
+            assert np.array_equal(with_w[key], without[key]), key
+
     def test_w8a8_argmax_agreement(self, tiny_cfg):
         # well-scaled model: strengthen the head so the class margin dominates
         # the quantization noise, then demand high argmax agreement
