@@ -60,20 +60,31 @@ def load_windows(path) -> np.ndarray:
     return windows
 
 
+def _check_window_shape(windows: np.ndarray, cfg: fm.ModelConfig, source: str):
+    """CliConfigError naming ``source`` unless every window fits ``cfg``."""
+    if windows.shape[:1] != (0,) and windows.shape[1:] != (cfg.n_channels, cfg.n_samples):
+        raise CliConfigError(f"{source} windows of shape {windows.shape[1:]} do not fit "
+                             f"the model's ({cfg.n_channels}, {cfg.n_samples})")
+
+
 def read_any_recording(path) -> tuple[np.ndarray, float]:
     """Accept either the raw FEMB-SIG stream or a tensor container with
     'samples' (channels x n, f32) and 'rate' (one value) entries. The rate
-    is finite and positive in both."""
+    is finite and positive in both, and every sample finite."""
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic != ct.MAGIC:
-        return ct.read_recording(path)
-    c = ct.Container.load(path)
-    samples, rate = c.array("samples"), c.array("rate").reshape(-1)
-    if samples.ndim != 2 or rate.size != 1 or not 0 < rate[0] < np.inf:
-        raise ct.FormatError(f"recording of samples {samples.shape} and rate {rate.tolist()}: "
-                             "expected (channels, n) samples and one finite positive rate")
-    return samples.astype(np.float64), float(rate[0])
+        samples, rate = ct.read_recording(path)
+    else:
+        c = ct.Container.load(path)
+        samples, rate = c.array("samples").astype(np.float64), c.array("rate").reshape(-1)
+        if samples.ndim != 2 or rate.size != 1 or not 0 < rate[0] < np.inf:
+            raise ct.FormatError(f"recording of samples {samples.shape} and rate {rate.tolist()}"
+                                 ": expected (channels, n) samples and one finite positive rate")
+        rate = float(rate[0])
+    if not np.all(np.isfinite(samples)):
+        raise ct.FormatError(f"{path}: recording holds NaN or infinite samples")
+    return samples, rate
 
 
 def cmd_preprocess(args) -> int:
@@ -99,6 +110,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    if not 0 < args.clip_pct <= 100:
+        raise CliConfigError(f"--clip-pct {args.clip_pct} must be in (0, 100]")
     if args.mode == "fp32":
         # byte-preserving repack of the float checkpoint, once checked
         c = ct.Container.load(args.checkpoint)
@@ -110,10 +123,11 @@ def cmd_quantize(args) -> int:
     weights, cfg = im.load_checkpoint(args.checkpoint)
     if args.calib is None:
         raise CliConfigError(f"mode {args.mode!r} requires --calib windows")
-    calib = list(load_windows(args.calib))
-    if not calib:
+    calib = load_windows(args.calib)
+    if not len(calib):
         raise CliConfigError("calibration archive is empty")
-    art = qz.quantize_model(weights, cfg, args.mode, calib,
+    _check_window_shape(calib, cfg, "--calib")
+    art = qz.quantize_model(weights, cfg, args.mode, list(calib),
                             clip_pct=args.clip_pct,
                             run_bias_correct=args.bias_correct)
     c = im.build_image(cfg, art)
@@ -172,10 +186,7 @@ def cmd_infer(args) -> int:
             raise CliConfigError(f"manifest mode {mode!r} does not match image mode {img.mode!r}")
 
     windows = load_windows(manifest["windows"])
-    # an empty archive holds no window to check
-    if windows.shape[:1] != (0,) and windows.shape[1:] != (cfg.n_channels, cfg.n_samples):
-        raise CliConfigError(f"windows of shape {windows.shape[1:]} do not fit the model's "
-                             f"({cfg.n_channels}, {cfg.n_samples})")
+    _check_window_shape(windows, cfg, "the manifest's")
 
     out = ct.Container()
     dump = ct.Container() if args.dump else None
@@ -211,18 +222,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    config = ""
     if args.config:
         with open(args.config) as f:
-            hier, cm, mode = ss.config_from_mapping(ss.parse_config_text(f.read()))
-    else:
-        hier, cm, mode = ss.MemHierarchy(), ss.CostModel(), "w8a8"
-    cr = ss.run_default(fm.ModelConfig(), cm, hier, args.mode or mode)
-    if args.format == "json":
-        text = json.dumps({"cycles": cr.total_cycles,
-                           "seconds": cr.latency_s,
-                           "millijoules": cr.energy_j * 1e3}, sort_keys=True) + "\n"
-    else:
-        text = ss.report(cr, args.format)
+            config = f.read()
+    hier, cm, mode = ss.config_from_mapping(ss.parse_config_text(config))
+    text = ss.report(ss.run_default(fm.ModelConfig(), cm, hier, args.mode or mode), args.format)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -343,10 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ct.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
+    except (ct.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ss.PlanError as exc:

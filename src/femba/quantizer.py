@@ -283,7 +283,8 @@ def bias_correct(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
     windows = list(windows)
     if not art.act:
         raise CalibrationError("bias correction requires calibrated scales")
-    float_traces = [fm.forward_with_trace(w, weights, cfg)[1] for w in windows]
+    float_traces = [{k: v for k, v in fm.forward_with_trace(w, weights, cfg)[1].items()
+                     if k.startswith("linear:")} for w in windows]
     corrections = {}
     for layer in layer_catalog(cfg):
         name = layer["name"]

@@ -230,6 +230,8 @@ class PreprocessConfig:
         if self.iqr_scope not in IQR_SCOPES:
             raise FilterSpecError(f"'iqr_scope' must be one of {IQR_SCOPES}, "
                                   f"not {self.iqr_scope!r}")
+        if not self.notch_q > 0:
+            raise FilterSpecError(f"'notch_q' must be positive, not {self.notch_q!r}")
 
 
 def preprocess_recording(rec: RawRecording, cfg: PreprocessConfig = PreprocessConfig()

@@ -24,8 +24,9 @@ what that stage needs: one row of every tensor fits half of L1.
 from __future__ import annotations
 
 import io
+import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .container import payload_size
 from .image import WEIGHT_DTYPE
@@ -47,9 +48,6 @@ SUB_OP_TITLES = {
 
 class PlanError(ValueError):
     """Tiling constraint violated (e.g. one row cannot fit half of L1)."""
-
-
-SCAN_MAC_MODES = ("table", "analytic")  # per-step constant | recurrence arithmetic
 
 
 @dataclass(frozen=True)
@@ -80,31 +78,25 @@ class CostModel:
         "seq_reversal_fwd": 1.6e6, "seq_reversal_bwd": 1.0e6, "fusion": 2.1e6,
         "patch_embed": 8.0e6, "pos_embed": 2.3e6, "global_pool": 0.5e6,
         "classifier": 0.05e6})
-    scan_mac_mode: str = "table"  # one of SCAN_MAC_MODES
     scan_macs_per_step: int = 256
 
     def __post_init__(self):
         if any(v <= 0 for v in self.throughput.values()):
             raise PlanError("throughputs must be positive")
-        if self.scan_mac_mode not in SCAN_MAC_MODES:
-            raise PlanError(f"'scan_mac_mode' must be one of {SCAN_MAC_MODES}, "
-                            f"not {self.scan_mac_mode!r}")
 
 
 def mac_count(cfg: ModelConfig, cm: CostModel = CostModel()) -> dict[str, int]:
     """Per-block dense-equivalent MAC counts for the four scan-branch sub-ops.
 
-    The scan row follows the device accounting convention (a per-step
-    constant per channel); the analytic mode instead counts the recurrence
-    arithmetic (3*d_state + 2 per channel-step).
+    The scan row counts ``cm.scan_macs_per_step`` per channel-step, by default
+    the device accounting's table constant 256; the recurrence's own count is
+    3*d_state + 2, 50 at the default shape.
     """
-    per_step = (cm.scan_macs_per_step if cm.scan_mac_mode == "table"
-                else 3 * cfg.d_state + 2)
     return {
         "input_proj": cfg.n_tokens * cfg.d_model * 2 * cfg.d_inner,
         "output_proj": cfg.n_tokens * cfg.d_inner * cfg.d_model,
         "conv": cfg.n_tokens * cfg.d_inner * cfg.d_conv,
-        "scan": per_step * cfg.n_tokens * cfg.d_inner,
+        "scan": cm.scan_macs_per_step * cfg.n_tokens * cfg.d_inner,
     }
 
 
@@ -233,13 +225,6 @@ class CycleReport:
     overlap_pct: float
 
 
-def _sub_op_compute(sub: SubOp, cm: CostModel) -> float:
-    cycles = sub.fixed_cycles
-    if sub.macs:
-        cycles += sub.macs / cm.throughput[sub.name]
-    return cycles
-
-
 def simulate(plan: StreamPlan, cm: CostModel, h: MemHierarchy) -> CycleReport:
     """Walk the plan layer by layer with double-buffered transfer hiding."""
     bw = min(h.l2_bandwidth_bytes_per_cycle, h.l1_bandwidth_bytes_per_cycle)
@@ -259,7 +244,7 @@ def simulate(plan: StreamPlan, cm: CostModel, h: MemHierarchy) -> CycleReport:
         pairs = []  # (compute, transfer)
         layer_macs = 0
         for sub in layer.sub_ops:
-            compute = _sub_op_compute(sub, cm)
+            compute = sub.fixed_cycles + (sub.macs / cm.throughput[sub.name] if sub.macs else 0.0)
             layer_macs += sub.macs
             sub_chunks = [c for c in by_layer[layer.name] if c.sub_op == sub.name]
             sub_bytes = sum(c.nbytes for c in sub_chunks)
@@ -325,10 +310,18 @@ def run_default(cfg: ModelConfig = ModelConfig(), cm: CostModel = CostModel(),
 # rendering
 
 def report(cr: CycleReport, fmt: str = "text") -> str:
+    """``cr`` as `femba bench` prints it. text: the layer and sub-op tables,
+    latency and energy. csv: a row per layer and sub-op, then the totals.
+    json: the totals and every layer and sub-op record by its field names."""
+    if fmt == "json":
+        return json.dumps(dict(cycles=cr.total_cycles, seconds=cr.latency_s,
+                               millijoules=cr.energy_j * 1e3, macs=cr.total_macs,
+                               overlap_pct=cr.overlap_pct, layers=list(map(asdict, cr.layers)),
+                               sub_ops=list(map(asdict, cr.sub_ops))), sort_keys=True) + "\n"
     if fmt == "csv":
         return _report_csv(cr)
     if fmt != "text":
-        raise ValueError("format must be 'text' or 'csv'")
+        raise ValueError("format must be 'text', 'csv' or 'json'")
     out = io.StringIO()
     out.write(f"{'Layer':<18} {'Cycles (M)':>11} {'% Total':>8} {'Overlap %':>10}\n")
     for r in cr.layers:

@@ -109,13 +109,15 @@ class TestPreprocess:
         assert not np.array_equal(cli.load_windows(out), cli.load_windows(tmp_path / "d.fmbc"))
 
     @pytest.mark.parametrize("case", ["empty rate", "two rates", "1-D samples",
-                                      "sig NaN rate"])
+                                      "sig NaN rate", "sig NaN sample", "fmbc inf sample"])
     def test_malformed_recording_exit_2(self, tmp_path, capsys, case):
         samples = np.random.default_rng(1).normal(0, 10, (22, 1280)).astype(np.float32)
+        if case.endswith("sample"):
+            samples[3, 700] = np.nan if case.startswith("sig") else np.inf
         rec = tmp_path / "rec.fmbc"
-        if case == "sig NaN rate":
+        if case.startswith("sig"):
             rec = tmp_path / "rec.sig"
-            ct.write_recording(rec, samples, float("nan"))
+            ct.write_recording(rec, samples, float("nan") if case == "sig NaN rate" else 256.0)
         else:
             rate = {"empty rate": [], "two rates": [256.0, 128.0]}.get(case, [256.0])
             c = ct.Container()
@@ -128,7 +130,8 @@ class TestPreprocess:
         assert not (tmp_path / "w.fmbc").exists()
 
     @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128",
-                                      "notch_hz = abc", "iqr_scope = banana", "notch_hz 50"])
+                                      "notch_hz = abc", "iqr_scope = banana", "notch_hz 50",
+                                      "notch_q = 0.0", "notch_q = -5.0"])
     def test_unknown_config_key_exit_3(self, tmp_path, capsys, line):
         rec = tmp_path / "rec.sig"
         ct.write_recording(rec, np.random.default_rng(2).normal(0, 10, (22, 1280)), 256.0)
@@ -221,13 +224,26 @@ class TestQuantize:
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",
                    "--mode", "w8a8") == 3
 
-    def test_mismatched_shapes_exit_3(self, tmp_path, tiny_checkpoint):
+    def test_mismatched_shapes_exit_3(self, tmp_path, capsys, tiny_checkpoint):
         bad = tmp_path / "bad.fmbc"
         c = ct.Container()
         c.add("windows", ct.DT_F32, np.zeros((2, 5, 7), dtype=np.float32))
         c.save(bad)
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",
                    "--mode", "w8a8", "--calib", bad) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--calib" in err
+        assert str((5, 7)) in err and str((TINY.n_channels, TINY.n_samples)) in err
+
+    @pytest.mark.parametrize("pct", ["150", "nan", "0", "-1"])
+    def test_clip_pct_outside_range_exit_3(self, tmp_path, capsys, tiny_checkpoint,
+                                           tiny_archive, pct):
+        out = tmp_path / "x.fmbc"
+        assert run("quantize", tiny_checkpoint, out, "--mode", "w8a8",
+                   "--calib", tiny_archive, "--clip-pct", pct) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--clip-pct" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def write_manifest(tmp_path, **kw):
@@ -597,7 +613,7 @@ class TestBench:
 
     @pytest.mark.parametrize("line", ["l1_byte = 5", "throughput.inptu_proj = 9.0",
                                       "l1_bytes = abc", "scan_mac_mode = banana",
-                                      "scan_macs_per_step = 2.5"])
+                                      "scan_macs_per_step = 2.5", "scan_mac_mode = analytic"])
     def test_unused_config_key_or_value_exit_4(self, tmp_path, capsys, line):
         cfgf = tmp_path / "bench.cfg"
         cfgf.write_text(line + "\n")
@@ -605,6 +621,21 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert repr(line.split()[0]) in captured.err
+
+    def test_json_holds_csv_rows(self, tmp_path, capsys):
+        """--format json holds every layer and sub-op record of the csv, and
+        its layer cycles sum to its total."""
+        out = tmp_path / "r.csv"
+        assert run("bench", "--format", "csv", "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert run("bench", "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        want = [(r[0], r[1], r[2], r[3]) for r in rows if r[0] in ("layer", "sub_op")]
+        got = [("layer", r["name"], "", f"{r['cycles']:.6f}") for r in report["layers"]]
+        got += [("sub_op", s["layer"], s["name"], f"{s['cycles']:.6f}")
+                for s in report["sub_ops"]]
+        assert got == want and len(report["sub_ops"]) > len(report["layers"])
+        assert sum(r["cycles"] for r in report["layers"]) == report["cycles"]
 
     def test_csv_out(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -18,7 +18,8 @@ class TestMacCount:
         assert macs["scan"] == 63_078_400
 
     def test_analytic_mode(self):
-        cm = dataclasses.replace(ss.CostModel(), scan_mac_mode="analytic")
+        """The recurrence's own count is scan_macs_per_step = 3*d_state + 2."""
+        cm = dataclasses.replace(ss.CostModel(), scan_macs_per_step=3 * 16 + 2)
         macs = ss.mac_count(ModelConfig(), cm)
         assert macs["scan"] == (3 * 16 + 2) * 160 * 1540
 
