@@ -158,10 +158,17 @@ def selective_scan(u, delta, a, b, c, d=None):
         raise ValueError("delta must be positive")
     t_len, n_ch = u.shape
     h = np.zeros((n_ch, a.shape[1]))
+    abar, bx = np.empty_like(h), np.empty_like(h)
     y = np.empty((t_len, n_ch))
     for t in range(t_len):
+        # h = exp(dt * a) * h + dt * b[t] * u[t], in place but in that
+        # operation order, so the values stay those of the plain update
         dt = delta[t, :, None]
-        h = np.exp(dt * a) * h + dt * b[t] * u[t, :, None]
+        np.exp(np.multiply(dt, a, out=abar), out=abar)
+        h *= abar
+        np.multiply(dt, b[t], out=bx)
+        bx *= u[t, :, None]
+        h += bx
         y[t] = h @ c[t]
     if d is not None:
         y = y + np.asarray(d, dtype=np.float64) * u

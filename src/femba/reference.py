@@ -1,11 +1,16 @@
 """Integer-semantics reference forward pass.
 
 A plain, unblocked implementation of the quantized network over a deployment
-image: the fake-quantized graph evaluated with exact integer arithmetic
-(integers carried in int64 arrays). This is the oracle the optimized engine
-must match bit for bit; it deliberately shares no kernel code with it. The
-scan steps one time row at a time and holds one (d_inner, d_state) state, so
-no array spans time and state at once.
+image: the fake-quantized graph evaluated with exact integer arithmetic.
+Integers are carried in int64 arrays, and rounding shifts are arithmetic
+right shifts. The matmuls of `_linear` are summed in one float64 product,
+which is exact: every term is an integer of at most 127·128, and the INT32
+accumulator bound that `image.load_image` checks keeps every partial sum
+below 2^32, far inside float64's 2^53 (see `_linear`). This is the oracle the
+optimized engine must match bit for bit; it deliberately shares no kernel
+code with it, and sums unblocked in float64 where the engine sums float32
+blocks. The scan steps one time row at a time and holds one
+(d_inner, d_state) state, so no array spans time and state at once.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ _Q15_LO, _Q15_HI = -(1 << 15), (1 << 15) - 1
 
 def _round_shift(v, k: int):
     # round-half-up: floor(v / 2^k + 1/2); left shift when k is negative
+    # an arithmetic right shift of an int64 floors, for every k <= MAX_SHIFT
     v = np.asarray(v, dtype=np.int64)
     if k > 0:
-        return np.floor_divide(v + (1 << (k - 1)), 1 << k)
+        return (v + (1 << (k - 1))) >> k
     return v * (1 << (-k)) if k < 0 else v
 
 
@@ -35,21 +41,30 @@ def _clip8(v):
 
 
 def _linear(image, name, act_q):
+    """act_q @ w.T + bias, requantized to INT8. The product is one float64
+    GEMM and exact in any summation order: each term is an integer with
+    |a·w| <= 127·128, and every partial sum is at most d_in·127·128 in size,
+    which `image.load_image`'s INT32 accumulator check (d_in·127² + |bias|
+    <= INT32_MAX) keeps below 2^32, far inside float64's 2^53. So the sum does
+    not depend on BLAS blocking or thread count, and the int64 cast is the
+    exact integer product."""
     t = image.tensors[name]
-    acc = np.asarray(act_q, dtype=np.int64) @ t.dense().T + t.bias
+    prod = np.asarray(act_q, dtype=np.float64) @ t.dense().astype(np.float64).T
+    acc = prod.astype(np.int64) + t.bias
     return _clip8(_round_shift(acc * t.m, t.k))
 
 
 def _interp(lut, x_fixed):
     # same table contract as the engine, independently written: index by
-    # division, interpolate with a rounded scaled difference
+    # shift, interpolate with a rounded scaled difference
     step = 1 << lut.step_shift
+    entries = lut.entries.astype(np.int64)
     rel = np.clip(np.asarray(x_fixed, dtype=np.int64) - lut.lo_fixed,
-                  0, (len(lut.entries) - 1) * step)
-    i = np.minimum(np.floor_divide(rel, step), len(lut.entries) - 2)
+                  0, (len(entries) - 1) * step)
+    i = np.minimum(rel >> lut.step_shift, len(entries) - 2)
     r = rel - i * step
-    base = lut.entries.astype(np.int64)[i]
-    nxt = lut.entries.astype(np.int64)[i + 1]
+    base = entries[i]
+    nxt = entries[i + 1]
     return base + _round_shift((nxt - base) * r, lut.step_shift)
 
 

@@ -83,6 +83,11 @@ class CostModel:
     def __post_init__(self):
         if any(v <= 0 for v in self.throughput.values()):
             raise PlanError("throughputs must be positive")
+        if self.scan_macs_per_step <= 0:
+            raise PlanError("'scan_macs_per_step' must be positive")
+        for name, v in self.fixed_cycles.items():
+            if v < 0:
+                raise PlanError(f"'fixed_cycles.{name}' must not be negative")
 
 
 def mac_count(cfg: ModelConfig, cm: CostModel = CostModel()) -> dict[str, int]:

@@ -613,7 +613,10 @@ class TestBench:
 
     @pytest.mark.parametrize("line", ["l1_byte = 5", "throughput.inptu_proj = 9.0",
                                       "l1_bytes = abc", "scan_mac_mode = banana",
-                                      "scan_macs_per_step = 2.5", "scan_mac_mode = analytic"])
+                                      "scan_macs_per_step = 2.5", "scan_mac_mode = analytic",
+                                      "scan_macs_per_step = -50", "scan_macs_per_step = 0",
+                                      "fixed_cycles.fusion = -1e9",
+                                      "fixed_cycles.classifier = -1.0"])
     def test_unused_config_key_or_value_exit_4(self, tmp_path, capsys, line):
         cfgf = tmp_path / "bench.cfg"
         cfgf.write_text(line + "\n")

@@ -2,6 +2,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +289,66 @@ class TestTernaryMatmul:
         words2 = qz.pack_ternary(q2)
         out2 = eng.ternary_matmul(act, words2, (1, 16), None, np.array([1]), 0)
         assert out2[0, 0] == 2
+
+
+def reference_linear(t: im.QTensor):
+    """ref._linear(act row, bias) over an image holding only ``t``, through
+    the identity requantizer."""
+    t.m, t.k = np.ones(t.shape[0], dtype=np.int64), 0
+    image = SimpleNamespace(tensors={"w": t})
+
+    def kernel(act, bias):
+        t.bias = bias
+        return ref._linear(image, "w", act)
+    return kernel
+
+
+class TestReferenceArithmetic:
+    @pytest.mark.parametrize("d_in", [1540, im.INT32_MAX // (127 * 127)])
+    def test_i8_float64_sums_exact_at_extremes(self, d_in):
+        """|act| = 127 against w = +-128 (-128 included) and +-127, at the
+        full shape's d_in and at the largest d_in load_image accepts: the
+        float64 GEMM equals an int64 matmul to the unit, odd sums included."""
+        rng = np.random.default_rng(d_in)
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        act[0] = 127
+        w = rng.choice([-128, -127, 127], size=(4, d_in)).astype(np.int8)
+        w[0], w[1] = -128, 127  # the largest sums of either sign
+        w[0, -1] = -127  # an odd sum
+        exact = act.astype(np.int64) @ w.astype(np.int64).T
+        assert exact[0, 0] == -(d_in - 1) * 127 * 128 - 127 * 127
+        assert exact[0, 1] == d_in * 127 * 127
+        assert_accumulates_exactly(reference_linear(im.QTensor("i8", w.shape, q=w)),
+                                   act, exact)
+
+    @pytest.mark.parametrize("d_in", [1540, im.INT32_MAX // (127 * 127)])
+    def test_t2_float64_sums_exact_at_extremes(self, d_in):
+        rng = np.random.default_rng(d_in + 1)
+        act = 127 * rng.choice([-1, 1], size=(3, d_in))
+        q = rng.integers(-1, 2, size=(3, d_in)).astype(np.int8)
+        q[0] = np.sign(act[0])  # every product +127: the largest sum
+        q[1] = -1
+        exact = act.astype(np.int64) @ q.astype(np.int64).T
+        assert exact[0, 0] == d_in * 127
+        t = im.QTensor("t2", q.shape, words=qz.pack_ternary(q))
+        assert_accumulates_exactly(reference_linear(t), act, exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, im.MAX_SHIFT))
+    def test_round_shift_is_rounded_floor_division(self, data, k):
+        hi = 2**63 - 1 - (1 << (k - 1))  # v + 2^(k-1) stays inside int64
+        v = np.array(data.draw(st.lists(st.integers(-2**63, hi), min_size=1, max_size=8)),
+                     dtype=np.int64)
+        want = np.floor_divide(v + (1 << (k - 1)), np.int64(1 << k))
+        np.testing.assert_array_equal(ref._round_shift(v, k), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(-24, 0))
+    def test_round_shift_left_is_exact(self, data, k):
+        lim = (2**63 - 1) >> -k  # v * 2^-k stays inside int64
+        vals = data.draw(st.lists(st.integers(-lim, lim), min_size=1, max_size=8))
+        got = ref._round_shift(np.array(vals, dtype=np.int64), k)
+        assert got.tolist() == [v << -k for v in vals]
 
 
 class TestDepthwiseConv:

@@ -112,6 +112,26 @@ class TestSelectiveScan:
                               rng.normal(size=(200, 3)))
         assert np.all(np.isfinite(y))
 
+    def test_equals_out_of_place_update(self):
+        """The in-place update gives exactly the values of the plain
+        h = exp(dt * a) * h + dt * b[t] * u[t] recurrence."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t_len, n_ch, n_st = rng.integers(1, 30), rng.integers(1, 12), rng.integers(1, 17)
+            u = rng.normal(size=(t_len, n_ch)) * rng.uniform(0.1, 50.0)
+            delta = rng.uniform(1e-3, 3.0, size=(t_len, n_ch))
+            a = -np.exp(rng.normal(size=(n_ch, n_st)))
+            b, c = rng.normal(size=(2, t_len, n_st))
+            d = rng.normal(size=n_ch)
+            h = np.zeros((n_ch, n_st))
+            want = np.empty((t_len, n_ch))
+            for t in range(t_len):
+                dt = delta[t, :, None]
+                h = np.exp(dt * a) * h + dt * b[t] * u[t, :, None]
+                want[t] = h @ c[t]
+            want = want + d * u
+            assert np.array_equal(fm.selective_scan(u, delta, a, b, c, d), want)
+
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             fm.selective_scan(np.ones((2, 1)), np.zeros((2, 1)),
