@@ -53,8 +53,12 @@ def save_windows(path, windows: list[np.ndarray]):
 
 
 def load_windows(path) -> np.ndarray:
-    """The windows of an archive; FormatError if any value is NaN or infinite."""
-    windows = ct.Container.load(path).array("windows").astype(np.float64)
+    """The windows of an archive; FormatError unless they are f32, as
+    `save_windows` writes them, and every value is finite."""
+    e = ct.Container.load(path).get("windows")
+    if e.dtype != ct.DT_F32:
+        raise ct.FormatError(f"{path}: windows are {ct.DTYPES[e.dtype].name}, expected f32")
+    windows = e.data.reshape(e.dims).astype(np.float64)
     if not np.all(np.isfinite(windows)):
         raise ct.FormatError(f"{path}: window archive holds NaN or infinite values")
     return windows
@@ -174,7 +178,7 @@ def cmd_infer(args) -> int:
         raise CliConfigError("--dump needs the manifest's 'dump' path")
 
     model_c = ct.Container.load(manifest["model"])
-    _, model_mode = im._config_from_vec(model_c.array("config"), model_c.array("config_f"))
+    _, model_mode = im.read_config(model_c)
     if mode == "fp32" or (mode == "fakequant" and model_mode == "fp32"):
         if model_mode != "fp32":
             raise CliConfigError(f"mode {mode!r} needs a float checkpoint, got {model_mode!r}")
@@ -355,7 +359,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN
     except (CliConfigError, qz.CalibrationError, eng.EngineConfigError,
-            sigp.FilterSpecError, ValueError, KeyError) as exc:
+            sigp.FilterSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

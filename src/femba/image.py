@@ -9,6 +9,8 @@ and an INT32 bias per row in accumulator domain. All scale folding happens
 here, once, so the engine and the integer-semantics reference consume
 identical numbers.
 
+Both loaders read every entry through one reader, `_entry`, which checks its
+dims and dtype against what `build_image` and `save_checkpoint` write.
 `load_image` checks every bound the integer paths rely on before either runs:
 the config against the entries' dims, each accumulator against INT32, each
 requantizer against int64 with |k| <= MAX_SHIFT, and each activation
@@ -80,14 +82,24 @@ def _config_vec(cfg: fm.ModelConfig, mode: str) -> np.ndarray:
                     [_FUSION_IDX[cfg.fusion], _MODE_IDX[mode]], dtype=np.int32)
 
 
-def _config_from_vec(vec: np.ndarray, fvec: np.ndarray) -> tuple[fm.ModelConfig, str]:
-    """The config and mode of a ``config``/``config_f`` pair; FormatError
-    unless every dim is positive, both indices name a fusion and a mode, and
+def _entry(c: ct.Container, name: str, dims: tuple, *dtypes: int) -> ct.Entry:
+    """Entry ``name``; FormatError naming it unless it has logical ``dims``
+    and one of the container ``dtypes``, as its writer stores it."""
+    e = c.get(name)
+    if e.dims != tuple(dims) or e.dtype not in dtypes:
+        want = " or ".join(ct.DTYPES[d].name for d in dtypes)
+        raise ct.FormatError(f"entry {name!r}: {ct.DTYPES[e.dtype].name} of dims {e.dims}, "
+                             f"expected {want} of dims {tuple(dims)}")
+    return e
+
+
+def read_config(c: ct.Container) -> tuple[fm.ModelConfig, str]:
+    """The config and mode of a checkpoint or image; FormatError unless
+    ``config`` holds the i32 dims and indices and ``config_f`` the f32 step
+    range, every dim is positive, both indices name a fusion and a mode, and
     0 < dt_min <= dt_max < inf (the scan's step range)."""
-    vec, fvec = np.asarray(vec).reshape(-1), np.asarray(fvec, dtype=np.float64).reshape(-1)
-    if vec.size != len(_CONFIG_DIMS) + 2 or fvec.size != 2:
-        raise ct.FormatError(f"config holds {vec.size} and config_f {fvec.size} values, "
-                             f"expected {len(_CONFIG_DIMS) + 2} and 2")
+    vec = _entry(c, "config", (len(_CONFIG_DIMS) + 2,), ct.DT_I32).data
+    fvec = _entry(c, "config_f", (2,), ct.DT_F32).data.astype(np.float64)
     dims = {name: int(v) for name, v in zip(_CONFIG_DIMS, vec)}
     fusion, mode = int(vec[-2]), int(vec[-1])
     for name, value in dims.items():
@@ -125,14 +137,10 @@ def load_checkpoint(source) -> tuple[dict[str, np.ndarray], fm.ModelConfig]:
     `model.param_shapes` is an f32 entry of its listed dims holding finite
     values."""
     c = source if isinstance(source, ct.Container) else ct.Container.load(source)
-    cfg, _ = _config_from_vec(c.array("config"), c.array("config_f"))
+    cfg, _ = read_config(c)
     weights = {}
     for name, shape in fm.param_shapes(cfg):
-        e = c.get(name)
-        if e.dtype != ct.DT_F32 or e.dims != shape:
-            raise ct.FormatError(f"entry {name!r}: dtype {e.dtype} and dims {e.dims}, "
-                                 f"expected f32 of the config's dims {shape}")
-        a = weights[name] = e.data.reshape(shape).astype(np.float64)
+        a = weights[name] = _entry(c, name, shape, ct.DT_F32).data.reshape(shape).astype(float)
         if not np.all(np.isfinite(a)):
             raise ct.FormatError(f"entry {name!r}: values are not finite")
     return weights, cfg
@@ -276,21 +284,8 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     return c
 
 
-def _vector(c: ct.Container, name: str, dtype: int, size: int) -> np.ndarray:
-    """Entry ``name`` as a flat array, checked to hold ``size`` values of
-    container dtype ``dtype``."""
-    e = c.get(name)
-    if e.dtype != dtype or e.data.size != size:
-        raise ct.FormatError(f"entry {name!r}: {e.data.size} values of dtype {e.dtype}, "
-                             f"expected {size} of dtype {dtype}")
-    return e.data.reshape(-1)
-
-
 def _read_tensor(c: ct.Container, name: str, shape: tuple[int, int]) -> QTensor:
-    e = c.get(name + ".q")
-    if e.dims != shape or e.dtype not in (ct.DT_I8, ct.DT_T2):
-        raise ct.FormatError(f"entry {name + '.q'!r}: dtype {e.dtype} and dims {e.dims}, "
-                             f"expected i8 or t2 of the config's dims {shape}")
+    e = _entry(c, name + ".q", shape, ct.DT_I8, ct.DT_T2)
     if e.dtype == ct.DT_T2:
         words = e.data.astype(np.uint32)
         _check_ternary(name + ".q", words, shape[0] * shape[1])
@@ -308,8 +303,8 @@ def _check_ternary(name: str, words: np.ndarray, count: int):
 
 
 def _read_mk(c: ct.Container, name: str, rows: int):
-    return (_vector(c, name + ".m", ct.DT_Q15, rows).astype(np.int64),
-            int(_vector(c, name + ".k", ct.DT_I8, 1)[0]))
+    return (_entry(c, name + ".m", (rows,), ct.DT_Q15).data.astype(np.int64),
+            int(_entry(c, name + ".k", (1,), ct.DT_I8).data[0]))
 
 
 def _check_requant_range(name: str, acc_bound: int, m: np.ndarray, k: int):
@@ -327,7 +322,8 @@ def _check_requant_range(name: str, acc_bound: int, m: np.ndarray, k: int):
 
 
 def load_image(source) -> EngineImage:
-    """Parse and validate a deployment image container.
+    """Parse and validate a deployment image container, reading every entry
+    through `_entry`, which checks its dims and dtype.
 
     Raises FormatError when the config, an entry's dims or dtype, an
     activation exponent or a lookup table does not fit the integer paths,
@@ -336,7 +332,7 @@ def load_image(source) -> EngineImage:
     integer-mode image.
     """
     c = source if isinstance(source, ct.Container) else ct.Container.load(source)
-    cfg, mode = _config_from_vec(c.array("config"), c.array("config_f"))
+    cfg, mode = read_config(c)
     if mode == "fp32":
         raise eng.EngineConfigError("container is a float checkpoint, not a deployment image")
     luts = {name: _read_lut(c, name) for name in eng.LUT_FORMATS}
@@ -352,7 +348,7 @@ def load_image(source) -> EngineImage:
         t = tensors[name] = _read_tensor(c, name, shape)
         bound = input_bound.get(name.rsplit(".", 1)[-1])
         if bound is None:
-            t.bias = _vector(c, name + ".bias", ct.DT_I32, shape[0]).astype(np.int64)
+            t.bias = _entry(c, name + ".bias", (shape[0],), ct.DT_I32).data.astype(np.int64)
             bound = shape[1] * 127 * 127 + int(np.abs(t.bias).max(initial=0))
             if bound > INT32_MAX:
                 raise eng.EngineConfigError(
@@ -364,13 +360,10 @@ def load_image(source) -> EngineImage:
     _check_requant_range("pool", 127 * cfg.n_tokens, pool_m, pool_k)
 
     taps = fm.quant_points(cfg)
-    exps = c.array("act_exponents").astype(int)
-    if exps.size != len(taps):
-        raise ct.FormatError(
-            f"act_exponents holds {exps.size} exponents, the config has {len(taps)} taps")
+    exps = _entry(c, "act_exponents", (len(taps),), ct.DT_I8).data
     if np.any((exps < 0) | (exps > qz.MAX_EXPONENT)):
         raise ct.FormatError(f"act_exponents: values outside [0, {qz.MAX_EXPONENT}]")
-    head_dequant = _vector(c, "head.dequant", ct.DT_F32, cfg.n_classes).astype(np.float64)
+    head_dequant = _entry(c, "head.dequant", (cfg.n_classes,), ct.DT_F32).data.astype(float)
     if not np.all(np.isfinite(head_dequant)):
         raise ct.FormatError("head.dequant: scales are not finite")
     return EngineImage(cfg=cfg, mode=mode, act_exp=dict(zip(taps, exps.tolist())),
@@ -379,15 +372,12 @@ def load_image(source) -> EngineImage:
 
 
 def _read_lut(c: ct.Container, name: str) -> eng.Lut:
-    """A scan LUT whose size, formats and domain fit both integer paths:
-    LUT_SIZE entries, the fixed-point formats they hard-code, a domain
-    inside int32, and a step that bounds the engine's dense table at ~1 M
-    int32 entries and its build product inside int32."""
-    entries = c.array(f"luts.{name}").astype(np.int16)
-    meta = c.array(f"luts.{name}.meta").astype(np.int64).reshape(-1)
-    if entries.size != eng.LUT_SIZE or meta.size != 4:
-        raise ct.FormatError(f"luts.{name}: {entries.size} entries and {meta.size} meta "
-                             f"values, expected {eng.LUT_SIZE} and 4")
+    """A scan LUT whose entries and formats fit both integer paths: LUT_SIZE
+    q15 entries, four i32 meta values, the fixed-point formats the paths
+    hard-code, a domain inside int32, and a step that bounds the engine's
+    dense table at ~1 M int32 entries and its build product inside int32."""
+    entries = _entry(c, f"luts.{name}", (eng.LUT_SIZE,), ct.DT_Q15).data.astype(np.int16)
+    meta = _entry(c, f"luts.{name}.meta", (4,), ct.DT_I32).data
     lo, in_frac, out_frac, step_shift = (int(v) for v in meta)
     if (in_frac, out_frac) != eng.LUT_FORMATS[name]:
         raise ct.FormatError(f"luts.{name}: formats (in {in_frac}, out {out_frac}) bits, "

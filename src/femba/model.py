@@ -64,7 +64,9 @@ class ModelConfig:
 
 
 def silu(x):
-    return x / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below x ~ -709, where x / inf is the right -0.0
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def softplus(x):

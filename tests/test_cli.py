@@ -493,6 +493,33 @@ class TestNonFiniteWindows:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestWindowDtype:
+    """A window archive is read as `save_windows` writes it: windows of any
+    dtype but f32 are a format error, not integer codes run as values."""
+
+    @pytest.fixture(params=[ct.DT_I8, ct.DT_Q15, ct.DT_I32], ids=["i8", "q15", "i32"])
+    def int_archive(self, request, tmp_path, tiny_windows):
+        c = ct.Container()
+        c.add("windows", request.param, np.clip(np.rint(16 * np.stack(tiny_windows)), -127, 127)
+              .astype(ct.DTYPES[request.param].np))
+        path = tmp_path / "int.fmbc"
+        c.save(path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["quantize", "infer"])
+    def test_exit_2(self, tmp_path, capsys, tiny_checkpoint, int_archive, command):
+        if command == "quantize":
+            argv = ["quantize", tiny_checkpoint, tmp_path / "x.fmbc", "--mode", "w8a8",
+                    "--calib", int_archive]
+        else:
+            argv = ["infer", write_manifest(tmp_path, model=tiny_checkpoint, mode="fp32",
+                                            windows=int_archive,
+                                            output=str(tmp_path / "out.fmbc"))]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected f32" in err and "Traceback" not in err
+
+
 class TestCorruptImage:
     """A malformed deployment image exits 2 with a message, not a traceback."""
 
@@ -503,14 +530,16 @@ class TestCorruptImage:
                    "--calib", tiny_archive) == 0
         return ct.Container.load(out)
 
-    def infer_exit(self, tmp_path, capsys, image, archive, corrupt=lambda blob: blob):
+    def infer_exit(self, tmp_path, capsys, image, archive, corrupt=lambda blob: blob,
+                   names=""):
+        """femba infer's exit code on ``image``, whose error line names ``names``."""
         path = tmp_path / "bad.fmbc"
         path.write_bytes(corrupt(image.tobytes()))
         m = write_manifest(tmp_path, model=str(path), mode="w2a8",
                            windows=archive, output=str(tmp_path / "l.fmbc"))
         code = run("infer", m)
         err = capsys.readouterr().err
-        assert "Traceback" not in err and err.startswith("error:")
+        assert "Traceback" not in err and err.startswith("error:") and names in err
         return code
 
     def test_short_act_exponents_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
@@ -526,6 +555,23 @@ class TestCorruptImage:
     def test_short_lut_exit_2(self, tmp_path, capsys, image_w2, tiny_archive):
         image_w2.add("luts.exp", ct.DT_Q15, image_w2.array("luts.exp")[:512])
         assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive) == 2
+
+    @pytest.mark.parametrize("entry,dtype,edit", [
+        ("act_exponents", ct.DT_F32, lambda a: a + 0.9),
+        ("luts.silu", ct.DT_I32, lambda a: np.append(a[:-1], 40000)),
+        ("luts.exp.meta", ct.DT_F32, lambda a: a),
+        ("config", ct.DT_F32, lambda a: a + 0.7 * (np.arange(a.size) == 0)),  # d_model + 0.7
+        ("config_f", ct.DT_I32, lambda a: np.array([1, 2])),
+    ], ids=["act_exponents f32", "luts.silu i32", "luts.exp.meta f32", "config f32",
+            "config_f i32"])
+    def test_mistyped_entry_exit_2(self, tmp_path, capsys, image_w2, tiny_archive,
+                                   entry, dtype, edit):
+        """An entry of another dtype than its writer gives it is a format
+        error, also where its values would fit the right dtype or wrap."""
+        values = edit(image_w2.array(entry).astype(np.float64))
+        image_w2.add(entry, dtype, values.astype(ct.DTYPES[dtype].np))
+        assert self.infer_exit(tmp_path, capsys, image_w2, tiny_archive,
+                               names=f"entry {entry!r}") == 2
 
     @pytest.mark.parametrize("entry,index,value", [
         ("config", 11, 7),      # fusion index past the fusion modes
@@ -661,6 +707,17 @@ class TestBench:
                   for mode in ("w8a8", "w2a8")}
         assert cycles["w8a8"] != cycles["w2a8"]
         assert json.loads(capsys.readouterr().out)["cycles"] == cycles[want]
+
+
+def test_unexpected_key_error_propagates(monkeypatch):
+    """cli.main maps only toolchain errors, ValueError and OSError to exit
+    codes: a KeyError is a fault of the program and ends in a traceback."""
+    def lookup(*args):
+        return {}["missing"]
+
+    monkeypatch.setattr(ss, "run_default", lookup)
+    with pytest.raises(KeyError):
+        run("bench")
 
 
 class TestModelReadOnce:

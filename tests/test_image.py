@@ -4,6 +4,7 @@ and the reference agree on it bit for bit."""
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -139,17 +140,6 @@ def test_exponents_at_range_ends(cfg, pattern):
                  make_windows(cfg, 1, seed=pattern, scale=1e3))
 
 
-@pytest.mark.parametrize("mode", ["w8a8", "w2a8"])
-def test_act_exp_holds_python_ints(mode):
-    """Each tap's exponent loads as the Python int stored for it, so an
-    exponent never turns int32 array arithmetic into int64."""
-    img = im.load_image(ct.Container.frombytes(tiny_blob(mode)))
-    assert list(img.act_exp) == fm.quant_points(TINY)
-    assert {type(n) for n in img.act_exp.values()} == {int}
-    stored = ct.Container.frombytes(tiny_blob(mode)).array("act_exponents")
-    assert list(img.act_exp.values()) == stored.tolist()
-
-
 @pytest.mark.parametrize("value", [-1, qz.MAX_EXPONENT + 1, 70])
 def test_exponent_outside_range_rejected(value):
     c = build(TINY, "w8a8")
@@ -255,6 +245,93 @@ def test_non_finite_head_dequant_rejected():
     c.add("head.dequant", ct.DT_F32, dq)
     with pytest.raises(ct.FormatError, match="head.dequant"):
         im.load_image(c)
+
+
+# ---------------------------------------------------------------------------
+# every entry is read through one reader that checks its dtype and dims
+
+def rewritten(e: ct.Entry, dtype: int, dims: tuple) -> np.ndarray:
+    """The payload of entry ``e`` stored as ``dtype`` of ``dims``: its
+    values, clipped into the dtype's range and repeated or cut to fill it."""
+    dt = ct.DTYPES[dtype].np
+    vals = np.resize(e.data.astype(np.float64), ct.payload_size(dtype, dims) // dt.itemsize)
+    if dt.kind in "iu":
+        vals = np.clip(np.rint(vals), np.iinfo(dt).min, np.iinfo(dt).max)
+    return vals.astype(dt)
+
+
+def misfits(e: ct.Entry, accepted):
+    """(dtype, dims) rewrites of entry ``e`` that its reader must reject:
+    every container dtype outside ``accepted`` at its dims, then its dtype
+    with one more leading axis (same values) and with one more row."""
+    yield from ((d, e.dims) for d in ct.DTYPES if d not in accepted)
+    yield e.dtype, (1, *e.dims)
+    yield e.dtype, (e.dims[0] + 1, *e.dims[1:])
+
+
+def assert_rejects_misfits(c: ct.Container, name: str, accepted, load):
+    for dtype, dims in misfits(c.get(name), accepted):
+        bad = ct.Container(dict(c.entries))
+        bad.add(name, dtype, rewritten(c.get(name), dtype, dims), dims=dims)
+        with pytest.raises(ct.FormatError, match=re.escape(f"entry {name!r}")):
+            load(bad)
+
+
+@pytest.mark.parametrize("mode,name", [(mode, name) for mode in ("w8a8", "w2a8")
+                                       for name in tiny_entries(mode)])
+def test_image_entry_of_other_dtype_or_dims_rejected(mode, name):
+    """Each entry of an image, stored as any other container dtype or with
+    other dims, fails to load with a FormatError naming it; a ``.q`` entry
+    may be i8 or t2."""
+    c = ct.Container.frombytes(tiny_blob(mode))
+    accepted = (ct.DT_I8, ct.DT_T2) if name.endswith(".q") else (c.get(name).dtype,)
+    assert_rejects_misfits(c, name, accepted, im.load_image)
+
+
+@pytest.mark.parametrize("name", ["config", "config_f"])
+def test_checkpoint_config_of_other_dtype_or_dims_rejected(tmp_path, name):
+    im.save_checkpoint(fm.init_weights(TINY, seed=2), TINY, tmp_path / "ckpt.fmbc")
+    c = ct.Container.load(tmp_path / "ckpt.fmbc")
+    assert_rejects_misfits(c, name, (c.get(name).dtype,), im.load_checkpoint)
+
+
+@pytest.mark.parametrize("mode", ["w8a8", "w4a8", "w2a8"])
+@pytest.mark.parametrize("cfg", [TINY, TINY_GROUPED], ids=["tiny", "grouped"])
+def test_image_loads_to_what_build_image_wrote(cfg, mode):
+    """Every number `build_image` writes loads back unchanged: the config,
+    the exponents as Python ints (so an exponent never turns int32 array
+    arithmetic into int64), each tensor record, the pooling requantizer, the
+    head's scales and each lookup table with int16 entries."""
+    c = build(cfg, mode)
+    img = im.load_image(c)
+    data = {name: e.data.reshape(-1) for name, e in c.entries.items()}
+    f32 = lambda v: float(np.float32(v))
+    assert img.cfg == dataclasses.replace(cfg, dt_min=f32(cfg.dt_min), dt_max=f32(cfg.dt_max))
+    assert img.mode == mode
+    assert list(img.act_exp) == fm.quant_points(cfg)
+    assert list(img.act_exp.values()) == data["act_exponents"].tolist()
+    assert {type(n) for n in img.act_exp.values()} == {int}
+    for name, shape in qz.tensor_shapes(cfg):
+        t = img.tensors[name]
+        values = t.words if t.kind == "t2" else t.q.reshape(-1)
+        np.testing.assert_array_equal(values, data[name + ".q"])
+        assert values.dtype == {"t2": np.uint32, "i8": np.int8}[t.kind]
+        assert (t.kind, t.shape) == (ct.DTYPES[c.get(name + ".q").dtype].name, shape)
+        if name != "head":
+            np.testing.assert_array_equal(t.m, data[name + ".m"])
+            assert t.m.dtype == np.int64 and t.k == int(data[name + ".k"][0])
+        if name + ".bias" in data:
+            np.testing.assert_array_equal(t.bias, data[name + ".bias"])
+            assert t.bias.dtype == np.int64
+    assert (img.pool_m, img.pool_k) == (int(data["pool.m"][0]), int(data["pool.k"][0]))
+    np.testing.assert_array_equal(img.head_dequant, data["head.dequant"])
+    assert img.head_dequant.dtype == np.float64
+    assert list(img.luts) == list(eng.LUT_FORMATS)
+    for name, lut in img.luts.items():
+        assert lut.entries.dtype == np.int16
+        np.testing.assert_array_equal(lut.entries, data[f"luts.{name}"])
+        assert [lut.lo_fixed, lut.in_frac, lut.out_frac, lut.step_shift] == \
+            data[f"luts.{name}.meta"].tolist()
 
 
 # ---------------------------------------------------------------------------

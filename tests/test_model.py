@@ -296,6 +296,16 @@ class TestForward:
         for tap in fm.quant_points(tiny_cfg):
             assert tap in trace, tap
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_inputs_raise_no_warning(self, tiny_cfg):
+        """SiLU of inputs below ~-709 overflows exp(-x) to inf, which gives
+        the right -0.0 and no warning."""
+        window = make_windows(tiny_cfg, 1, 4, scale=50)[0]
+        logits = fm.forward(window, fm.init_weights(tiny_cfg, 3), tiny_cfg)
+        assert np.all(np.isfinite(logits))
+        silu = fm.silu(np.array([-800.0, -709.0, 0.0, 800.0]))
+        assert silu[0] == 0.0 and np.signbit(silu[0]) and silu[-1] == 800.0
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
