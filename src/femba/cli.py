@@ -92,6 +92,9 @@ def read_any_recording(path) -> tuple[np.ndarray, float]:
 
 
 def cmd_preprocess(args) -> int:
+    # the filters' scipy.signal, loaded before the recording's arrays exist,
+    # so the import's memory does not add to theirs at the peak
+    import scipy.signal  # noqa: F401
     samples, rate = read_any_recording(args.input)
     kw = {}
     if args.config:
@@ -240,11 +243,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _tensor(path) -> np.ndarray:
-    return ct.Container.load(path).array("tensor").astype(np.float64)
+def _tensor(args, flag: str) -> np.ndarray:
+    """The tensor file of ``--flag`` as float64; FormatError naming the flag
+    unless every value is finite."""
+    path = getattr(args, flag)
+    t = ct.Container.load(path).array("tensor").astype(np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ct.FormatError(f"--{flag} {path}: tensor holds NaN or infinite values")
+    return t
 
 
-# the tensor flags each loss reads, besides the optional --mask
+# the tensor flags each loss reads, besides the optional --mask; the first
+# holds the batch
 _LOSS_INPUTS = {"smooth_l1": ("pred", "target"), "info_nce": ("anchor", "positive", "negatives"),
                 "focal": ("probs", "labels")}
 
@@ -253,12 +263,15 @@ def cmd_losses(args) -> int:
     missing = [f"--{k}" for k in _LOSS_INPUTS[args.loss] if getattr(args, k) is None]
     if missing:
         raise CliConfigError(f"--loss {args.loss} requires {', '.join(missing)}")
-    t = {k: _tensor(getattr(args, k)) for k in _LOSS_INPUTS[args.loss]}
+    t = {k: _tensor(args, k) for k in _LOSS_INPUTS[args.loss]}
+    batch = _LOSS_INPUTS[args.loss][0]
+    if t[batch].size == 0:
+        raise CliConfigError(f"--{batch} is empty: a loss over no samples is undefined")
     outc = ct.Container()
     if args.loss == "smooth_l1":
         if t["pred"].shape != t["target"].shape:
             raise CliConfigError(f"shape mismatch {t['pred'].shape} vs {t['target'].shape}")
-        mask = _tensor(args.mask).astype(bool) if args.mask else None
+        mask = _tensor(args, "mask").astype(bool) if args.mask else None
         if mask is not None and mask.shape != t["pred"].shape:
             raise CliConfigError(f"--mask {mask.shape} must match --pred {t['pred'].shape}")
         loss, grad = obj.smooth_l1(t["pred"], t["target"], args.beta, mask)

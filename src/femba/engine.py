@@ -109,13 +109,8 @@ def _rhu_inplace(v: np.ndarray, k: int):
 
 def rhu_shift(v, k: int):
     """Round-half-up arithmetic shift; negative k is an exact left shift."""
-    v = np.asarray(v, dtype=np.int64)
-    if k == 0:
-        return v.copy()
-    if k < 0:
-        return v << np.int64(-k)
-    out = v + (np.int64(1) << np.int64(k - 1))
-    out >>= np.int64(k)
+    out = np.array(v, dtype=np.int64)
+    _rhu_inplace(out, k)
     return out
 
 
@@ -210,16 +205,16 @@ SCAN_CHUNK = 100_000  # values per chunk of the fused scan: 4 time rows at full 
 F32_EXACT = 1 << 24  # float32 holds every integer below it exactly
 
 
-def _rhu_clip(v: np.ndarray, k: int, clamp: int = INT8_MAX) -> np.ndarray:
-    """clamp(rhu_shift(v, k)) symmetric, in place: v is a fresh int64 array
-    the caller gives up."""
+def _rhu_clip(v: np.ndarray, k: int) -> np.ndarray:
+    """rhu_shift(v, k) clamped to [-127, 127], in place: v is a fresh int64
+    array the caller gives up."""
     _rhu_inplace(v, k)
-    return np.clip(v, -clamp, clamp, out=v)
+    return np.clip(v, -INT8_MAX, INT8_MAX, out=v)
 
 
-def requantize(acc, m, k: int, clamp: int = INT8_MAX) -> np.ndarray:
-    """acc (..., out) * per-channel m, shifted by k, clamped symmetric."""
-    return _rhu_clip(np.asarray(acc, dtype=np.int64) * np.asarray(m, dtype=np.int64), k, clamp)
+def requantize(acc, m, k: int) -> np.ndarray:
+    """acc (..., out) * per-channel m, shifted by k, clamped to [-127, 127]."""
+    return _rhu_clip(np.asarray(acc, dtype=np.int64) * np.asarray(m, dtype=np.int64), k)
 
 
 def _requantized_dot(act, w: np.ndarray, bias, m, k: int) -> np.ndarray:

@@ -253,7 +253,7 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     each tensor's ratio (see `requant_grids`) into an int16 multiplier m per
     row and a shift k, the head's into ``head.dequant``, and each bias into
     INT32 on its accumulator grid."""
-    if art.mode == "fp32" or not art.act:
+    if not art.act:
         raise qz.CalibrationError("deployment image requires calibrated artifacts")
     exp = {t: art.exponent(t) for t in fm.quant_points(cfg)}
     c = ct.Container()

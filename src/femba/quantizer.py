@@ -87,29 +87,28 @@ def ternarize(w: np.ndarray) -> QuantizedTensor:
     return QuantizedTensor(q.reshape(w.shape), scales, 2)
 
 
+_FIELD_SHIFTS = np.arange(0, 32, 2, dtype=np.uint32)
+
+
 def pack_ternary(q: np.ndarray) -> np.ndarray:
     """{-1,0,+1} weights as 2-bit fields ({-1,0,+1} -> {0,1,2}), 16 per
     uint32 word: weight i of the flattened array occupies bits
     [2i mod 32, 2i mod 32 + 1] of word i // 16, first weight in the
     least-significant bits. Padding fields encode 0."""
-    flat = np.asarray(q).reshape(-1).astype(np.int64)
+    flat = np.asarray(q).reshape(-1)
     if flat.size and (flat.min() < -1 or flat.max() > 1):
         raise ValueError("ternary values must be in {-1, 0, +1}")
-    enc = (flat + 1).astype(np.uint64)  # {-1,0,1} -> {0,1,2}
     n_words = (flat.size + 15) // 16
-    padded = np.ones(n_words * 16, dtype=np.uint64)  # pad fields encode 0
-    padded[:flat.size] = enc
-    fields = padded.reshape(n_words, 16)
-    shifts = (2 * np.arange(16, dtype=np.uint64))
-    return (fields << shifts).sum(axis=1).astype(np.uint32)
+    fields = np.ones((n_words, 16), dtype=np.uint32)  # pad fields encode 0
+    fields.reshape(-1)[:flat.size] = flat + 1  # {-1,0,1} -> {0,1,2}
+    fields <<= _FIELD_SHIFTS
+    return np.bitwise_or.reduce(fields, axis=1)
 
 
 def unpack_ternary(words: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The int8 array of ``shape`` that `pack_ternary` packed into ``words``."""
-    count = math.prod(shape)
-    words = np.asarray(words).astype(np.uint64)
-    shifts = (2 * np.arange(16, dtype=np.uint64))
-    fields = ((words[:, None] >> shifts) & np.uint64(3)).reshape(-1)[:count]
+    words = np.asarray(words, dtype=np.uint32)
+    fields = ((words[:, None] >> _FIELD_SHIFTS) & np.uint32(3)).reshape(-1)[:math.prod(shape)]
     if np.any(fields > 2):
         raise ValueError("invalid 2-bit field value 3")
     return (fields.astype(np.int8) - 1).reshape(shape)
@@ -133,24 +132,17 @@ class CalibStats:
 
 
 def choose_pow2_scale(stats: CalibStats | float) -> int:
-    """Largest exponent n in [0, MAX_EXPONENT] such that 127 * 2^-n still
-    covers the clipping point, i.e. the finest power-of-two INT8 grid that
-    does not clip below it. Degenerate all-zero statistics take MAX_EXPONENT."""
+    """The finest power-of-two INT8 grid that does not clip below the
+    clipping point p: the largest exponent n in [1, MAX_EXPONENT] with
+    127 * 2^-n >= p, else 0 (p above 63.5, or NaN). Degenerate all-zero
+    statistics take MAX_EXPONENT."""
     if isinstance(stats, CalibStats):
         if stats.count == 0:
             raise CalibrationError("empty calibration statistics")
         p = stats.p_clip
     else:
         p = float(stats)
-    if p <= 0.0:
-        return MAX_EXPONENT
-    qmax = 127
-    n = int(math.floor(math.log2(qmax / p))) if qmax > p else 0
-    while qmax * 2.0 ** (-(n + 1)) >= p:
-        n += 1
-    while n > 0 and qmax * 2.0 ** (-n) < p:
-        n -= 1
-    return max(0, min(n, MAX_EXPONENT))
+    return next((n for n in range(MAX_EXPONENT, 0, -1) if 127 * 2.0 ** -n >= p), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +173,6 @@ def tensor_shapes(cfg: fm.ModelConfig):
                         (p + "out_proj", (dm, di)), (p + "a_mat", (di, ds)),
                         (p + "d_skip", (1, di)))
     yield "head", (cfg.n_classes, dm)
-
-
-def weight_arrays(weights: dict[str, np.ndarray],
-                  cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
-    """Every tensor of `tensor_shapes` as a float array of its dims."""
-    table = fm.tensor_table(weights, cfg)
-    return {name: table[name][0].reshape(shape) for name, shape in tensor_shapes(cfg)}
-
-
-def bias_arrays(weights: dict[str, np.ndarray], cfg: fm.ModelConfig) -> dict[str, np.ndarray]:
-    """Float biases per weighted layer; layers without a trained bias get
-    zeros so bias correction has a place to land."""
-    table = fm.tensor_table(weights, cfg)
-    out = {}
-    for layer in layer_catalog(cfg):
-        w, b = table[layer["name"]]
-        out[layer["name"]] = np.zeros(w.shape[0]) if b is None else b.copy()
-    return out
 
 
 @dataclass
@@ -234,37 +208,38 @@ def quantize_model(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, mode: st
                    calib_windows=None, clip_pct: float = DEFAULT_CLIP_PCT,
                    precision_overrides: dict[str, int] | None = None,
                    run_bias_correct: bool = False) -> QuantArtifacts:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {tuple(MODES)}")
-    art = QuantArtifacts(mode=mode)
-    if mode == "fp32":
-        return art
-    bits = MODES[mode]
-    overrides = precision_overrides or {}
-    for name, arr in weight_arrays(weights, cfg).items():
-        b = overrides.get(name, bits)
-        art.weights_q[name] = ternarize(arr) if b == 2 else quantize_weights(arr, b)
-    art.biases = bias_arrays(weights, cfg)
+    """Artifacts of a quantized mode: each tap's exponent from `calibrate`
+    over ``calib_windows``, then, from one `model.tensor_table`, every tensor
+    of `tensor_shapes` at the mode's bits (or its ``precision_overrides``
+    entry) and each weighted layer's float bias, zeros where it has none."""
+    quantized = tuple(m for m, bits in MODES.items() if bits < 32)
+    if mode not in quantized:
+        raise ValueError(f"mode must be one of {quantized}")
     if calib_windows is None:
         raise CalibrationError(f"mode {mode!r} requires calibration windows")
-    art.act = calibrate(weights, cfg, calib_windows, clip_pct)
+    windows = list(calib_windows)
+    art = QuantArtifacts(mode=mode, act=calibrate(weights, cfg, windows, clip_pct))
+    overrides = precision_overrides or {}
+    table = fm.tensor_table(weights, cfg)
+    for name, shape in tensor_shapes(cfg):
+        bits, w = overrides.get(name, MODES[mode]), table[name][0].reshape(shape)
+        art.weights_q[name] = ternarize(w) if bits == 2 else quantize_weights(w, bits)
+    for layer in layer_catalog(cfg):
+        w, b = table[layer["name"]]
+        art.biases[layer["name"]] = np.zeros(w.shape[0]) if b is None else b.copy()
     if run_bias_correct:
-        bias_correct(weights, cfg, art, calib_windows)
+        bias_correct(weights, cfg, art, windows)
     return art
 
 
 # ---------------------------------------------------------------------------
 # fake-quantized forward (float semantics)
 
-def fake_quant_forward(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
-                       art: QuantArtifacts, window: np.ndarray,
+def fake_quant_forward(cfg: fm.ModelConfig, art: QuantArtifacts, window: np.ndarray,
                        trace: dict | None = None) -> np.ndarray:
     """Float arithmetic with quantize->dequantize at every weight and
     activation point, over a tensor table of the artifacts' dequantized
-    weights and (correctable) biases alone. With mode fp32 this is the plain
-    float forward of ``weights``, the only mode that reads them."""
-    if art.mode == "fp32":
-        return fm.forward(window, weights, cfg, trace=trace)
+    weights and (correctable) biases alone."""
     table = {name: (qt.dequant(), art.biases.get(name)) for name, qt in art.weights_q.items()}
     exps = {tap: art.exponent(tap) for tap in fm.quant_points(cfg)}
     return fm.Walk(table, cfg, exps, trace).run(window)
@@ -292,7 +267,7 @@ def bias_correct(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
         diffs = []
         for w, ftr in zip(windows, float_traces):
             qtr: dict = {}
-            fake_quant_forward(weights, cfg, art, w, trace=qtr)
+            fake_quant_forward(cfg, art, w, trace=qtr)
             diffs.append(np.atleast_2d(ftr[key]) - np.atleast_2d(qtr[key]))
         delta = np.concatenate(diffs, axis=0).mean(axis=0)
         art.biases[name] = art.biases[name] + delta

@@ -8,7 +8,8 @@ frequency-domain augmentations used for contrastive view generation.
 All operations are pure functions of (input, parameters, seed); filters run
 zero-phase (forward-backward) over a periodic extension of the signal, so
 windows stay alignment-free and narrowband filters settle outside the
-retained segment.
+retained segment. The filters import scipy.signal themselves, so importing
+this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
 
 TARGET_RATE_HZ = 256.0
 WINDOW_CHANNELS = 22
@@ -78,6 +78,7 @@ def _zero_phase(sos, x):
     before the retained segment; reflection padding leaves several percent of
     ringing on pure tones.
     """
+    from scipy import signal as sps
     n = x.shape[-1]
     if n == 0:
         return x.copy()
@@ -88,6 +89,7 @@ def _zero_phase(sos, x):
 
 def bandpass(x: np.ndarray, fs: float, lo_hz: float = 1.0, hi_hz: float = 75.0) -> np.ndarray:
     """Zero-phase Butterworth band-pass along the last axis."""
+    from scipy import signal as sps
     if not lo_hz < hi_hz:
         raise FilterSpecError(f"band edges out of order: {lo_hz} >= {hi_hz}")
     _check_cutoffs(fs, lo_hz, hi_hz)
@@ -97,6 +99,7 @@ def bandpass(x: np.ndarray, fs: float, lo_hz: float = 1.0, hi_hz: float = 75.0) 
 
 def notch(x: np.ndarray, fs: float, f0_hz: float = 60.0, q_factor: float = 30.0) -> np.ndarray:
     """Zero-phase IIR notch (Q=30) removing narrowband interference."""
+    from scipy import signal as sps
     _check_cutoffs(fs, f0_hz)
     b, a = sps.iirnotch(f0_hz, q_factor, fs=fs)
     sos = sps.tf2sos(b, a)
@@ -106,6 +109,7 @@ def notch(x: np.ndarray, fs: float, f0_hz: float = 60.0, q_factor: float = 30.0)
 def lowpass_target(x: np.ndarray, fs: float = TARGET_RATE_HZ) -> np.ndarray:
     """Reconstruction target: the input with content above 40 Hz suppressed,
     by a zero-phase 2nd-order Butterworth low-pass (Q = 1/sqrt(2), bilinear)."""
+    from scipy import signal as sps
     _check_cutoffs(fs, TARGET_CUTOFF_HZ)
     sos = sps.butter(2, TARGET_CUTOFF_HZ, btype="low", fs=fs, output="sos")
     return _zero_phase(sos, np.asarray(x, dtype=np.float64))
@@ -117,6 +121,7 @@ def resample(x: np.ndarray, fs_in: float, fs_out: float = TARGET_RATE_HZ) -> np.
     Output length is round(n * fs_out / fs_in); an identity rate is a
     bit-exact passthrough.
     """
+    from scipy import signal as sps
     if fs_out <= 0:
         raise FilterSpecError("target rate must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -194,6 +199,7 @@ def ft_surrogate(x: np.ndarray, seed: int) -> np.ndarray:
 
 def frequency_shift(x: np.ndarray, fs: float, delta_hz: float) -> np.ndarray:
     """Shift all spectral content by delta_hz via analytic-signal modulation."""
+    from scipy import signal as sps
     if abs(delta_hz) >= fs / 4.0:
         raise FilterSpecError(f"|delta_hz| must be below fs/4 = {fs / 4.0}")
     x = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ from femba import model as fm
 from femba import reference as ref
 from femba import streamsim as ss
 
-from conftest import TINY
+from conftest import TINY, make_windows
 
 
 @pytest.fixture()
@@ -53,6 +57,14 @@ def bad_checkpoint(checkpoint, out, entry, value):
     c.add(entry, dtype, a)
     c.save(out)
     return out
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """Only the filters behind femba preprocess use scipy.signal, and they
+    import it, so every other command starts without it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import femba.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestPreprocess:
@@ -219,6 +231,24 @@ class TestQuantize:
         m = write_manifest(tmp_path, model=str(bad), mode="fp32", windows=tiny_archive,
                            output=str(tmp_path / "l.fmbc"))
         assert run("infer", m) == 2
+
+    def test_subnormal_weights_quantize(self, tmp_path):
+        """Weights of f32 subnormal magnitude give a tap whose clipping
+        point lies far below 2^-1000; it takes the finest grid like a zero
+        tap does."""
+        w = fm.init_weights(TINY, seed=11)
+        rng = np.random.default_rng(0)
+        for name in w:
+            if name.rsplit(".", 1)[-1] in ("in_proj", "conv_w", "x_proj"):
+                w[name] = rng.choice([-1e-39, 1e-39], size=w[name].shape)
+            elif name.endswith(".d_skip"):
+                w[name] = np.zeros_like(w[name])
+        ckpt, calib = tmp_path / "subnormal.fmbc", tmp_path / "calib.fmbc"
+        im.save_checkpoint(w, TINY, ckpt)
+        cli.save_windows(str(calib), make_windows(TINY, 2, seed=1))
+        out = tmp_path / "x.fmbc"
+        assert run("quantize", ckpt, out, "--mode", "w8a8", "--calib", calib) == 0
+        assert im.read_config(ct.Container.load(out))[1] == "w8a8"
 
     def test_missing_calib_exit_3(self, tmp_path, tiny_checkpoint):
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",
@@ -833,6 +863,51 @@ class TestLosses:
                     "--positive", f("a2", eye[:1]), "--negatives", f("n", neg)]
             flag = "--negatives"
         assert run("losses", *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def _run_quietly(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run("losses", *argv)
+
+    @pytest.mark.parametrize("case", ["smooth_l1 --pred", "smooth_l1 --target",
+                                      "smooth_l1 --mask", "focal --probs",
+                                      "info_nce --negatives"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_exit_2(self, tmp_path, capsys, case, bad):
+        loss, flag = case.split()
+        x = np.full((2, 3), 0.25, dtype=np.float32)
+        inputs = {"smooth_l1": {"--pred": x, "--target": x},
+                  "focal": {"--probs": x, "--labels": np.array([0, 2], dtype=np.int32)},
+                  "info_nce": {"--anchor": np.eye(3, dtype=np.float32)[:2],
+                               "--positive": np.eye(3, dtype=np.float32)[:2],
+                               "--negatives": x}}[loss]
+        inputs.setdefault(flag, x)
+        inputs[flag] = inputs[flag].copy()
+        inputs[flag][-1, -1] = bad
+        argv = ["--loss", loss]
+        for f, arr in inputs.items():
+            dt = ct.DT_I32 if arr.dtype == np.int32 else ct.DT_F32
+            argv += [f, self._tensor_file(tmp_path, f[2:] + ".fmbc", arr, dt)]
+        assert self._run_quietly(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("loss", ["smooth_l1", "focal", "info_nce"])
+    def test_empty_batch_exit_3(self, tmp_path, capsys, loss):
+        f = lambda name, arr, dt=ct.DT_F32: self._tensor_file(tmp_path, name, arr, dt)
+        empty = np.zeros((0, 3), dtype=np.float32)
+        argv, flag = {
+            "smooth_l1": (["--pred", f("p", empty), "--target", f("t", empty)], "--pred"),
+            "focal": (["--probs", f("p", empty),
+                       "--labels", f("l", np.zeros(0, np.int32), ct.DT_I32)], "--probs"),
+            "info_nce": (["--anchor", f("a", empty), "--positive", f("a2", empty),
+                          "--negatives", f("n", np.eye(3, dtype=np.float32))], "--anchor"),
+        }[loss]
+        assert self._run_quietly(["--loss", loss] + argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and flag in captured.err
         assert "Traceback" not in captured.err and captured.out == ""

@@ -36,7 +36,7 @@ def test_lists_match_every_path(base, fusion):
     assert tr_e.keys() == tr_r.keys() == taps | {"logits_i32"}
 
     assert {name: t.shape for name, t in img.tensors.items()} == \
-        {name: w.shape for name, w in qz.weight_arrays(weights, cfg).items()}
+        dict(qz.tensor_shapes(cfg))
     assert {layer["name"] for layer in catalog} <= img.tensors.keys()
     for layer in catalog[:-1]:
         rows = sum(r for _, r in layer["out_taps"])
@@ -44,7 +44,7 @@ def test_lists_match_every_path(base, fusion):
 
     tr_f, tr_q = {}, {}
     fm.forward(win, weights, cfg, trace=tr_f)
-    qz.fake_quant_forward(weights, cfg, art, win, trace=tr_q)
+    qz.fake_quant_forward(cfg, art, win, trace=tr_q)
     assert tr_f.keys() == tr_q.keys()
     assert taps <= tr_f.keys()
     assert {k for k in tr_f if k.startswith("linear:")} == \
