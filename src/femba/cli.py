@@ -52,13 +52,19 @@ def save_windows(path, windows: list[np.ndarray]):
     c.save(path)
 
 
+def _read_f32(c: ct.Container, name: str, path) -> np.ndarray:
+    """Entry ``name`` of the container read from ``path``, as float64 of its
+    dims; FormatError naming it unless it is stored as f32."""
+    e = c.get(name)
+    if e.dtype != ct.DT_F32:
+        raise ct.FormatError(f"{path}: entry {name!r} is {ct.DTYPES[e.dtype].name}, expected f32")
+    return e.data.reshape(e.dims).astype(np.float64)
+
+
 def load_windows(path) -> np.ndarray:
     """The windows of an archive; FormatError unless they are f32, as
     `save_windows` writes them, and every value is finite."""
-    e = ct.Container.load(path).get("windows")
-    if e.dtype != ct.DT_F32:
-        raise ct.FormatError(f"{path}: windows are {ct.DTYPES[e.dtype].name}, expected f32")
-    windows = e.data.reshape(e.dims).astype(np.float64)
+    windows = _read_f32(ct.Container.load(path), "windows", path)
     if not np.all(np.isfinite(windows)):
         raise ct.FormatError(f"{path}: window archive holds NaN or infinite values")
     return windows
@@ -73,15 +79,15 @@ def _check_window_shape(windows: np.ndarray, cfg: fm.ModelConfig, source: str):
 
 def read_any_recording(path) -> tuple[np.ndarray, float]:
     """Accept either the raw FEMB-SIG stream or a tensor container with
-    'samples' (channels x n, f32) and 'rate' (one value) entries. The rate
-    is finite and positive in both, and every sample finite."""
+    'samples' (channels x n) and 'rate' (one value) entries, both f32. The
+    rate is finite and positive in both, and every sample finite."""
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic != ct.MAGIC:
         samples, rate = ct.read_recording(path)
     else:
         c = ct.Container.load(path)
-        samples, rate = c.array("samples").astype(np.float64), c.array("rate").reshape(-1)
+        samples, rate = _read_f32(c, "samples", path), _read_f32(c, "rate", path).reshape(-1)
         if samples.ndim != 2 or rate.size != 1 or not 0 < rate[0] < np.inf:
             raise ct.FormatError(f"recording of samples {samples.shape} and rate {rate.tolist()}"
                                  ": expected (channels, n) samples and one finite positive rate")
@@ -138,6 +144,7 @@ def cmd_quantize(args) -> int:
                             clip_pct=args.clip_pct,
                             run_bias_correct=args.bias_correct)
     c = im.build_image(cfg, art)
+    im.load_image(c)  # no image that femba infer would reject reaches the disk
     c.save(args.output)
     print(f"{'tensor':<26} {'bits':>4} {'scale min':>12} {'scale max':>12}")
     for name, qt in art.weights_q.items():

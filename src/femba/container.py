@@ -243,10 +243,9 @@ def read_recording(path) -> tuple[np.ndarray, float]:
         raise FormatError(f"unsupported recording version {version} (at byte 8)")
     if channels < 1 or not 0 < rate < math.inf:
         raise FormatError("invalid recording header (at byte 10)")
-    want = channels * length
-    data = np.frombuffer(blob, dtype="<f4", count=-1, offset=_SIG_HDR.size)
-    if data.size != want:
-        raise FormatError(
-            f"recording payload has {data.size} samples, header implies {want} "
-            f"(at byte {_SIG_HDR.size})")
+    got, want = len(blob) - _SIG_HDR.size, 4 * channels * length
+    if got != want:
+        raise FormatError(f"recording payload has {got} bytes, header implies {want} "
+                          f"(at byte {_SIG_HDR.size})")
+    data = np.frombuffer(blob, dtype="<f4", offset=_SIG_HDR.size)
     return data.reshape(channels, length).astype(np.float64), float(rate)

@@ -253,9 +253,7 @@ def build_image(cfg: fm.ModelConfig, art: qz.QuantArtifacts) -> ct.Container:
     each tensor's ratio (see `requant_grids`) into an int16 multiplier m per
     row and a shift k, the head's into ``head.dequant``, and each bias into
     INT32 on its accumulator grid."""
-    if not art.act:
-        raise qz.CalibrationError("deployment image requires calibrated artifacts")
-    exp = {t: art.exponent(t) for t in fm.quant_points(cfg)}
+    exp = {t: art.act[t] for t in fm.quant_points(cfg)}
     c = ct.Container()
     c.add("config", ct.DT_I32, _config_vec(cfg, art.mode))
     c.add("config_f", ct.DT_F32, np.array([cfg.dt_min, cfg.dt_max], dtype=np.float32))

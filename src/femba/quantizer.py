@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ TERNARY_THRESHOLD = 0.7  # ternarize keeps the weights above this share of their
 
 
 class CalibrationError(ValueError):
-    """Calibration preconditions violated (empty stats, missing scales)."""
+    """A quantized mode was asked for without calibration windows."""
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -43,9 +44,13 @@ class QuantizedTensor:
     scales: np.ndarray   # float64, (channels,)
     bits: int
 
+    @cached_property
     def dequant(self) -> np.ndarray:
+        """q * scales[row] in float64, computed on first use and read-only."""
         shape = (-1,) + (1,) * (self.q.ndim - 1)
-        return self.q.astype(np.float64) * self.scales.reshape(shape)
+        w = self.q.astype(np.float64) * self.scales.reshape(shape)
+        w.flags.writeable = False
+        return w
 
 
 def quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
@@ -114,34 +119,11 @@ def unpack_ternary(words: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return (fields.astype(np.int8) - 1).reshape(shape)
 
 
-@dataclass
-class CalibStats:
-    """Running activation statistics; the clipping point is the max over
-    batches of each batch's |a| percentile, which is monotone under supersets
-    and invariant under duplicated batches."""
-    clip_pct: float = DEFAULT_CLIP_PCT
-    count: int = 0
-    p_clip: float = 0.0
-
-    def add(self, a: np.ndarray):
-        a = np.asarray(a, dtype=np.float64)
-        if a.size == 0:
-            return
-        self.count += a.size
-        self.p_clip = max(self.p_clip, float(np.percentile(np.abs(a), self.clip_pct)))
-
-
-def choose_pow2_scale(stats: CalibStats | float) -> int:
+def choose_pow2_scale(p: float) -> int:
     """The finest power-of-two INT8 grid that does not clip below the
     clipping point p: the largest exponent n in [1, MAX_EXPONENT] with
-    127 * 2^-n >= p, else 0 (p above 63.5, or NaN). Degenerate all-zero
-    statistics take MAX_EXPONENT."""
-    if isinstance(stats, CalibStats):
-        if stats.count == 0:
-            raise CalibrationError("empty calibration statistics")
-        p = stats.p_clip
-    else:
-        p = float(stats)
+    127 * 2^-n >= p, else 0 (p above 63.5, or NaN). An all-zero tap
+    (p = 0) takes MAX_EXPONENT."""
     return next((n for n in range(MAX_EXPONENT, 0, -1) if 127 * 2.0 ** -n >= p), 0)
 
 
@@ -182,26 +164,21 @@ class QuantArtifacts:
     biases: dict[str, np.ndarray] = field(default_factory=dict)
     act: dict[str, int] = field(default_factory=dict)  # tap -> exponent
 
-    def exponent(self, tap: str) -> int:
-        if tap not in self.act:
-            raise CalibrationError(f"missing activation scale for {tap!r}")
-        return self.act[tap]
-
 
 def calibrate(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, windows,
               clip_pct: float = DEFAULT_CLIP_PCT) -> dict[str, int]:
-    """Float forward over the calibration windows, recording statistics at
-    every quantization point, then power-of-two scale selection per tap."""
+    """Each tap's exponent from `choose_pow2_scale` of its clipping point:
+    the max over the windows of the float walk's |a| percentile there, which
+    never falls as windows are added and ignores duplicated windows."""
     windows = list(windows)
     if not windows:
         raise CalibrationError("calibration requires at least one window")
-    taps = fm.quant_points(cfg)
-    stats = {t: CalibStats(clip_pct=clip_pct) for t in taps}
+    p_clip = dict.fromkeys(fm.quant_points(cfg), 0.0)
     for w in windows:
         _, trace = fm.forward_with_trace(w, weights, cfg)
-        for t in taps:
-            stats[t].add(trace[t])
-    return {t: choose_pow2_scale(stats[t]) for t in taps}
+        for t, p in p_clip.items():
+            p_clip[t] = max(p, float(np.percentile(np.abs(trace[t]), clip_pct)))
+    return {t: choose_pow2_scale(p) for t, p in p_clip.items()}
 
 
 def quantize_model(weights: dict[str, np.ndarray], cfg: fm.ModelConfig, mode: str,
@@ -239,10 +216,9 @@ def fake_quant_forward(cfg: fm.ModelConfig, art: QuantArtifacts, window: np.ndar
                        trace: dict | None = None) -> np.ndarray:
     """Float arithmetic with quantize->dequantize at every weight and
     activation point, over a tensor table of the artifacts' dequantized
-    weights and (correctable) biases alone."""
-    table = {name: (qt.dequant(), art.biases.get(name)) for name, qt in art.weights_q.items()}
-    exps = {tap: art.exponent(tap) for tap in fm.quant_points(cfg)}
-    return fm.Walk(table, cfg, exps, trace).run(window)
+    weights, each built once, and their current (correctable) biases."""
+    table = {name: (qt.dequant, art.biases.get(name)) for name, qt in art.weights_q.items()}
+    return fm.Walk(table, cfg, art.act, trace).run(window)
 
 
 def bias_correct(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
@@ -256,8 +232,6 @@ def bias_correct(weights: dict[str, np.ndarray], cfg: fm.ModelConfig,
     before moving downstream.
     """
     windows = list(windows)
-    if not art.act:
-        raise CalibrationError("bias correction requires calibrated scales")
     float_traces = [{k: v for k, v in fm.forward_with_trace(w, weights, cfg)[1].items()
                      if k.startswith("linear:")} for w in windows]
     corrections = {}

@@ -121,15 +121,18 @@ class TestPreprocess:
         assert not np.array_equal(cli.load_windows(out), cli.load_windows(tmp_path / "d.fmbc"))
 
     @pytest.mark.parametrize("case", ["empty rate", "two rates", "1-D samples",
-                                      "sig NaN rate", "sig NaN sample", "fmbc inf sample"])
+                                      "sig NaN rate", "sig NaN sample", "fmbc inf sample",
+                                      "sig partial sample"])
     def test_malformed_recording_exit_2(self, tmp_path, capsys, case):
         samples = np.random.default_rng(1).normal(0, 10, (22, 1280)).astype(np.float32)
-        if case.endswith("sample"):
+        if case in ("sig NaN sample", "fmbc inf sample"):
             samples[3, 700] = np.nan if case.startswith("sig") else np.inf
         rec = tmp_path / "rec.fmbc"
         if case.startswith("sig"):
             rec = tmp_path / "rec.sig"
             ct.write_recording(rec, samples, float("nan") if case == "sig NaN rate" else 256.0)
+            if case == "sig partial sample":  # the last sample cut after 2 of its 4 bytes
+                rec.write_bytes(rec.read_bytes()[:-2])
         else:
             rate = {"empty rate": [], "two rates": [256.0, 128.0]}.get(case, [256.0])
             c = ct.Container()
@@ -139,6 +142,26 @@ class TestPreprocess:
         assert run("preprocess", rec, tmp_path / "w.fmbc") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "w.fmbc").exists()
+
+    @pytest.mark.parametrize("entry, dtype", [("samples", "i8"), ("samples", "q15"),
+                                              ("samples", "i32"), ("rate", "i32"),
+                                              ("rate", "q15")])
+    def test_container_recording_not_f32_exit_2(self, tmp_path, capsys, entry, dtype):
+        """A container recording's samples and rate are f32, as a window
+        archive's windows are; any other dtype is a format error naming the
+        entry."""
+        samples = np.random.default_rng(1).normal(0, 10, (22, 1280)).round()
+        tags = {"samples": ct.DT_F32, "rate": ct.DT_F32}
+        tags[entry] = {"i8": ct.DT_I8, "q15": ct.DT_Q15, "i32": ct.DT_I32}[dtype]
+        c = ct.Container()
+        for name, a in {"samples": samples, "rate": np.array([256.0])}.items():
+            c.add(name, tags[name], a.astype(ct.DTYPES[tags[name]].np))
+        rec = tmp_path / "rec.fmbc"
+        c.save(rec)
+        assert run("preprocess", rec, tmp_path / "w.fmbc") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(entry) in err and "expected f32" in err
         assert not (tmp_path / "w.fmbc").exists()
 
     @pytest.mark.parametrize("line", ["bandpas_lo_hz = 3.0", "target_rate_hz = 128",
@@ -232,10 +255,12 @@ class TestQuantize:
                            output=str(tmp_path / "l.fmbc"))
         assert run("infer", m) == 2
 
-    def test_subnormal_weights_quantize(self, tmp_path):
+    def test_subnormal_weights_quantize(self, tmp_path, capsys):
         """Weights of f32 subnormal magnitude give a tap whose clipping
         point lies far below 2^-1000; it takes the finest grid like a zero
-        tap does."""
+        tap does. At 8 and 4 bits that grid puts dt_proj's INT32 accumulator
+        bound out of range, so quantize refuses the image femba infer would
+        reject and writes nothing; the ternary image loads and runs."""
         w = fm.init_weights(TINY, seed=11)
         rng = np.random.default_rng(0)
         for name in w:
@@ -246,9 +271,20 @@ class TestQuantize:
         ckpt, calib = tmp_path / "subnormal.fmbc", tmp_path / "calib.fmbc"
         im.save_checkpoint(w, TINY, ckpt)
         cli.save_windows(str(calib), make_windows(TINY, 2, seed=1))
-        out = tmp_path / "x.fmbc"
-        assert run("quantize", ckpt, out, "--mode", "w8a8", "--calib", calib) == 0
-        assert im.read_config(ct.Container.load(out))[1] == "w8a8"
+        for mode in ("w8a8", "w4a8"):
+            out = tmp_path / f"{mode}.fmbc"
+            assert run("quantize", ckpt, out, "--mode", mode, "--calib", calib) == 3, mode
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert re.search(r"blocks\.0\.(fwd|bwd)\.dt_proj: INT32 accumulator bound exceeded",
+                             err), (mode, err)
+            assert not out.exists()
+        out = tmp_path / "w2a8.fmbc"
+        assert run("quantize", ckpt, out, "--mode", "w2a8", "--calib", calib) == 0
+        assert im.read_config(ct.Container.load(out))[1] == "w2a8"
+        m = write_manifest(tmp_path, model=str(out), mode="w2a8", windows=str(calib),
+                           output=str(tmp_path / "logits.fmbc"))
+        assert run("infer", m) == 0
 
     def test_missing_calib_exit_3(self, tmp_path, tiny_checkpoint):
         assert run("quantize", tiny_checkpoint, tmp_path / "x.fmbc",

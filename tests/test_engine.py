@@ -705,7 +705,7 @@ class TestEngineForward:
             qz.fake_quant_forward(tiny_cfg, art, win, trace=tr_f)
             eng.engine_forward(img, win, trace=tr_e)
             for tap in early:
-                n = art.exponent(tap)
+                n = art.act[tap]
                 q_float = np.clip(np.sign(tr_f[tap]) *
                                   np.floor(np.abs(tr_f[tap]) * 2.0 ** n + 0.5),
                                   -127, 127)

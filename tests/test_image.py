@@ -480,7 +480,7 @@ def test_float_view_is_each_tensor_dequantized(cfg, mode):
             scales = t.m * 2.0 ** (n_in - n_out - t.k)
             half_step = np.broadcast_to(2.0 ** (n_in - n_out - t.k - 1), scales.shape)
         np.testing.assert_allclose(w, q * scales[:, None], rtol=1e-15, atol=0, err_msg=name)
-        err = np.abs(w - qt.dequant())
+        err = np.abs(w - qt.dequant)
         assert np.all(err <= np.abs(q) * half_step[:, None] * slack), name
         if name.endswith(".a_mat"):
             assert np.all(w <= 0.0)

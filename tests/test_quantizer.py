@@ -25,10 +25,17 @@ class TestQuantizeWeights:
         for bits in (4, 8):
             w = rng.normal(size=(6, 40))
             qt = qz.quantize_weights(w, bits)
-            err = np.abs(w - qt.dequant())
+            err = np.abs(w - qt.dequant)
             assert np.all(err <= qt.scales[:, None] / 2 + 1e-12)
             qmax = (1 << (bits - 1)) - 1
             assert qt.q.min() >= -qmax and qt.q.max() <= qmax
+
+    def test_dequant_is_one_read_only_array(self):
+        qt = qz.quantize_weights(np.random.default_rng(1).normal(size=(3, 5)), 8)
+        assert qt.dequant is qt.dequant
+        assert not qt.dequant.flags.writeable
+        with pytest.raises(ValueError):
+            qt.dequant[0, 0] = 0.0
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
@@ -113,15 +120,6 @@ class TestPow2Scale:
                                       [15.875, -15.875, 15.875, -15.875, 15.875, 0.0])
         assert not np.signbit(fm.fake_quantize(np.array([-0.001]), 3)[0])
 
-    def test_degenerate_zero_stats(self):
-        stats = qz.CalibStats()
-        stats.add(np.zeros(100))
-        assert qz.choose_pow2_scale(stats) == qz.MAX_EXPONENT
-
-    def test_empty_stats_error(self):
-        with pytest.raises(qz.CalibrationError):
-            qz.choose_pow2_scale(qz.CalibStats())
-
     def test_boundaries_and_edges(self):
         """127 * 2^-n takes exponent n (within [0, MAX_EXPONENT]); a value
         just above it takes n - 1, one just below it n. A clipping point too
@@ -149,27 +147,6 @@ class TestPow2Scale:
             assert 127 * 2.0 ** (-(n + 1)) < p  # and n is the finest such grid
 
 
-class TestCalibStats:
-    def test_duplication_invariant(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=1000)
-        a, b = qz.CalibStats(), qz.CalibStats()
-        a.add(x)
-        for _ in range(3):
-            b.add(x)
-        assert a.p_clip == b.p_clip
-
-    def test_superset_monotone(self):
-        rng = np.random.default_rng(6)
-        a, b = qz.CalibStats(), qz.CalibStats()
-        batches = [rng.normal(size=500) for _ in range(4)]
-        for batch in batches[:2]:
-            a.add(batch)
-        for batch in batches:
-            b.add(batch)
-        assert b.p_clip >= a.p_clip
-
-
 class TestCalibrate:
     def test_zero_window_takes_max_exponent(self, tiny_cfg):
         w = fm.zero_weights(tiny_cfg)
@@ -181,6 +158,16 @@ class TestCalibrate:
         a = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2])
         b = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2] * 3)
         assert a == b
+
+    def test_more_windows_never_finer(self, tiny_cfg, tiny_weights, tiny_windows):
+        """A clipping point is a max over the windows, so a superset of
+        windows never takes a finer grid at any tap."""
+        a = qz.calibrate(tiny_weights, tiny_cfg, tiny_windows[:2])
+        b = qz.calibrate(tiny_weights, tiny_cfg,
+                         tiny_windows + make_windows(tiny_cfg, 2, seed=6, scale=4.0))
+        assert a.keys() == b.keys()
+        assert all(b[t] <= a[t] for t in a)
+        assert any(b[t] < a[t] for t in a)
 
     def test_requires_windows(self, tiny_cfg, tiny_weights):
         with pytest.raises(qz.CalibrationError):
@@ -221,6 +208,16 @@ class TestFakeQuantForward:
 
 
 class TestBiasCorrect:
+    def test_each_tensor_dequantized_once(self, tiny_cfg, tiny_weights, tiny_windows):
+        """quantize_model leaves every dequantized tensor unbuilt; the first
+        fake-quant walk builds each one and bias correction's walks reuse it."""
+        art = qz.quantize_model(tiny_weights, tiny_cfg, "w2a8", tiny_windows[:2])
+        assert not any("dequant" in vars(qt) for qt in art.weights_q.values())
+        qz.fake_quant_forward(tiny_cfg, art, tiny_windows[0])
+        built = {name: qt.dequant for name, qt in art.weights_q.items()}
+        qz.bias_correct(tiny_weights, tiny_cfg, art, tiny_windows[:2])
+        assert all(qt.dequant is built[name] for name, qt in art.weights_q.items())
+
     def test_zero_correction_when_exact(self, tiny_cfg, tiny_windows):
         # quantization-error-free model: weights already on the int8 grid and
         # generous activation exponents make the fake-quant path exact
